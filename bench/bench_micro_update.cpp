@@ -2,12 +2,12 @@
 // the library on a realistic packet mix. Complements the figure benches with
 // framework-quality timing (warmup, iteration control, statistics).
 //
-// Before the google-benchmark suite runs, main() prints the SIMD tier table
-// (scalar vs batched vs each tier at the paper's 500 KiB / d=2 operating
-// point, all engines interleaved in ONE process so machine drift between
-// invocations cancels) and writes BENCH_micro_update.json for
-// scripts/bench_compare.sh. Pass --benchmark_filter='^$' to run only the
-// tier table.
+// Before the google-benchmark suite runs, main() prints the update-path
+// table (per-packet vs the array-of-structs reference vs batched at the
+// paper's 500 KiB / d=2 operating point, all engines interleaved in ONE
+// process so machine drift between invocations cancels) and writes
+// BENCH_micro_update.json for scripts/bench_compare.sh. Pass
+// --benchmark_filter='^$' to run only the table.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -22,7 +22,7 @@
 #include "core/cocosketch.h"
 #include "core/hw_cocosketch.h"
 #include "hash/multihash.h"
-#include "simd/dispatch.h"
+#include "hash/window_hash.h"
 #include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "sketch/elastic.h"
@@ -171,12 +171,12 @@ void BM_CocoSketchDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_CocoSketchDecode);
 
-// ---- SIMD tier table (ISSUE 6 acceptance) ----------------------------------
+// ---- Update-path table ------------------------------------------------------
 
 // The PR 1 batched path, preserved verbatim as an in-process baseline:
 // array-of-structs buckets, operator== (memcmp) key compares, the same
 // MultiHash / 32-packet window / prefetch / §4.1 update rule the library
-// shipped before the word-addressable SoA layout and SIMD tiers replaced
+// shipped before the word-addressable SoA bucket layout replaced
 // it. Keeping it in the binary means the "≥1.3× over the PR 1 batched
 // path" bar is measured engine-vs-engine in one process — cross-invocation
 // numbers on a shared box drift by ±30%, interleaved ones don't.
@@ -274,7 +274,7 @@ class Pr1ReferenceSketch {
   uint64_t key_replacements_ = 0;
 };
 
-struct TierRow {
+struct TableRow {
   std::string name;
   std::string json_key;
 };
@@ -298,69 +298,50 @@ double TimeOnePass(size_t packets, RunFn&& run) {
 //   * Every rep touches every engine back to back, so CPU frequency and
 //     neighbor-load drift (±30% across invocations on a shared box) hits
 //     all engines equally and cancels in the ratios.
-void RunTierTable(const char* json_path) {
+void RunUpdateTable(const char* json_path) {
   const auto& trace = SharedTrace();
   const size_t mem = KiB(500);
   const size_t d = 2;
   const int reps = 15;
-  const simd::Tier host = simd::DetectTier();
+  const char* avx2_hash =
+      hash::Avx2WindowHashActive() ? "active" : "inactive";
 
-  std::vector<TierRow> rows;
-  rows.push_back({"per-packet (scalar tier)", "per_packet_scalar"});
+  std::vector<TableRow> rows;
+  rows.push_back({"per-packet", "per_packet"});
   rows.push_back({"batched PR1 reference (AoS)", "batched_pr1_ref"});
-  std::vector<simd::Tier> tiers;
-  for (simd::Tier t :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
-    if (simd::ClampTier(t) != t) continue;
-    tiers.push_back(t);
-    rows.push_back({std::string("batched ") + simd::TierName(t) + " tier",
-                    std::string("batched_") + simd::TierName(t)});
-  }
-
+  rows.push_back({"batched", "batched"});
   core::CocoSketch<FiveTuple> per_packet(mem, d);
-  per_packet.SetSimdTier(simd::Tier::kScalar);
   Pr1ReferenceSketch<FiveTuple> pr1_ref(mem, d);
-  std::vector<core::CocoSketch<FiveTuple>> batched;
-  batched.reserve(tiers.size());
-  for (simd::Tier t : tiers) {
-    batched.emplace_back(mem, d);
-    batched.back().SetSimdTier(t);
-  }
+  core::CocoSketch<FiveTuple> batched(mem, d);
   // Warmup to equilibrium occupancy (untimed).
   for (const Packet& p : trace) per_packet.Update(p.key, p.weight);
   pr1_ref.UpdateBatch(trace.data(), trace.size());
-  for (auto& sk : batched) sk.UpdateBatch(trace.data(), trace.size());
+  batched.UpdateBatch(trace.data(), trace.size());
 
   std::vector<double> best(rows.size(), 1e18);
   for (int rep = 0; rep < reps; ++rep) {
-    size_t r = 0;
-    best[r] = std::min(best[r], TimeOnePass(trace.size(), [&] {
+    best[0] = std::min(best[0], TimeOnePass(trace.size(), [&] {
       for (const Packet& p : trace) per_packet.Update(p.key, p.weight);
     }));
-    ++r;
-    best[r] = std::min(best[r], TimeOnePass(trace.size(), [&] {
+    best[1] = std::min(best[1], TimeOnePass(trace.size(), [&] {
       pr1_ref.UpdateBatch(trace.data(), trace.size());
     }));
-    ++r;
-    for (auto& sk : batched) {
-      best[r] = std::min(best[r], TimeOnePass(trace.size(), [&] {
-        sk.UpdateBatch(trace.data(), trace.size());
-      }));
-      ++r;
-    }
+    best[2] = std::min(best[2], TimeOnePass(trace.size(), [&] {
+      batched.UpdateBatch(trace.data(), trace.size());
+    }));
     benchmark::DoNotOptimize(pr1_ref.TotalValue());
   }
 
   const double ref_ns = best[1];  // PR 1 batched reference
   std::printf(
-      "\n=== SIMD tier table: CocoSketch<FiveTuple>, %zu pkts, 500 KiB, "
+      "\n=== Update-path table: CocoSketch<FiveTuple>, %zu pkts, 500 KiB, "
       "d=%zu, best of %d interleaved ===\n",
       trace.size(), d, reps);
-  std::printf("host tier: %s\n", simd::TierName(host));
+  std::printf("AVX2 window hash: %s\n", avx2_hash);
   std::printf("%-30s %10s %8s %12s\n", "engine", "ns/pkt", "Mpps",
               "vs PR1 ref");
   bench::BenchJson json("micro_update");
-  json.Context("host_tier", simd::TierName(host));
+  json.Context("avx2_window_hash", avx2_hash);
   json.Context("operating_point", "500KiB_d2_FiveTuple");
   for (size_t r = 0; r < rows.size(); ++r) {
     const double mpps = 1e3 / best[r];
@@ -371,10 +352,9 @@ void RunTierTable(const char* json_path) {
     json.Metric("micro_update/" + rows[r].json_key + "/speedup_vs_pr1",
                 speedup);
   }
-  const double best_tier_speedup = ref_ns / best.back();
-  std::printf("headline: best tier is %.2fx the PR 1 batched path "
+  std::printf("headline: batched is %.2fx the AoS reference "
               "(bar: 1.30x)\n",
-              best_tier_speedup);
+              ref_ns / best[2]);
   json.Write(json_path);
 }
 
@@ -385,7 +365,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   const char* json_path = std::getenv("COCO_BENCH_JSON");
-  coco::RunTierTable(json_path ? json_path : "BENCH_micro_update.json");
+  coco::RunUpdateTable(json_path ? json_path : "BENCH_micro_update.json");
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

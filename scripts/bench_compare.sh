@@ -13,7 +13,7 @@
 # speedup ratios), so one comparison rule covers everything.
 #
 # Generating snapshots:
-#   build/bench/bench_micro_update --benchmark_filter='^$'   # tier table only
+#   build/bench/bench_micro_update --benchmark_filter='^$'   # update table only
 #   build/bench/bench_fig14_cpu                              # slower, full roster
 #   build/bench/bench_fig15a_ovs   # BENCH_fig15a_scaling.json: the scale-out
 #                                  # curve; its per_core_efficiency metrics

@@ -7,16 +7,15 @@
 #             consumer-token handoff for work stealing), the watchdog's
 #             stall-detect/kill/respawn paths, the batched merge, the
 #             relaxed-atomic metrics registry, the network-wide
-#             agent/collector transports, the SIMD tier's process-default
-#             dispatch state, the attack-detection/seed-rotation response
-#             on the consumer threads, and the multi-core scale-out battery
-#             (epoch rotation under load, steal/owner races) — ovs_test,
-#             batch_test, obs_test, netwide_test, simd_test,
+#             agent/collector transports, the attack-detection/seed-rotation
+#             response on the consumer threads, and the multi-core scale-out
+#             battery (epoch rotation under load, steal/owner races) —
+#             ovs_test, batch_test, obs_test, netwide_test,
 #             adversarial_test, scaleout_test
 #   address — ASan+UBSan over the deserializers, fuzz loops, the snapshot
-#             JSON reader, the frame/delta decoders, the SIMD kernels'
-#             word loads against the padded SoA key plane, and the hostile
-#             trace generators (fuzz_test plus the same seven, for free)
+#             JSON reader, the frame/delta decoders, the key probes' word
+#             loads against the padded SoA key plane, and the hostile trace
+#             generators (fuzz_test plus the same six, for free)
 #
 # Usage:
 #   scripts/run_sanitizers.sh            # both presets
@@ -49,8 +48,8 @@ fi
 
 for p in "${presets[@]}"; do
   case "$p" in
-    thread) run_preset thread ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
-    address) run_preset address fuzz_test ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
+    thread) run_preset thread ovs_test batch_test obs_test netwide_test adversarial_test scaleout_test ;;
+    address) run_preset address fuzz_test ovs_test batch_test obs_test netwide_test adversarial_test scaleout_test ;;
     *)
       echo "unknown preset '$p' (expected: thread | address)" >&2
       exit 2

@@ -1,14 +1,14 @@
-// Word-addressable structure-of-arrays bucket storage for the sketches.
+// Word-addressable structure-of-arrays bucket storage for the sketches, and
+// the key-probe kernels of their update rules.
 //
 // The seed layout was an array-of-structs (`vector<Bucket{Key, uint32_t}>`);
 // this splits it into two parallel arrays:
 //
 //   key_words : n * kKeyWords uint64 — each key padded to whole 64-bit words,
 //               pad bytes ALWAYS zero, so word equality <=> byte equality and
-//               SIMD tiers can compare whole words without masking.
-//   values    : n uint32 — densely packed counters, so occupancy scans,
-//               TotalValue and find-next-occupied stream 4-8 counters per
-//               vector load instead of striding over interleaved key bytes.
+//               key compares work on whole words without masking.
+//   values    : n uint32 — densely packed counters, so occupancy scans and
+//               TotalValue stream over counters without touching key bytes.
 //
 // The logical per-bucket footprint (Key::kSize + 4, what a hardware
 // deployment provisions and what memory budgets divide by) and the
@@ -18,25 +18,64 @@
 // Invariant: every mutation path below rewrites the tail word before copying
 // key bytes, so pad bytes can never go stale. Anything writing key_words
 // directly must preserve that.
+//
+// Key probes. A packet's key is lifted once into a probe and compared
+// against its d mapped buckets:
+//
+//   * keys of <= 16 bytes use ShortProbe — the padded key words assembled
+//     straight from the key bytes into general-purpose registers. Building
+//     them in a stack array instead writes the tail word in pieces (zero
+//     pad, then key bytes), and reloading it stalls store-to-load
+//     forwarding once per packet; and two register compares beat both the
+//     xmm and the ymm probe (movemask + flags round-trip) in same-process
+//     measurement;
+//   * wider keys (the 37-byte V6Tuple) use PaddedKey, compared word by word.
+//
+// Both probes hold the exact stored slot bytes, so StoreKey and the
+// byte-wise setters produce identical state.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 namespace coco::core {
 
-// A key lifted to its padded word representation: the probe operand every
-// SIMD key-compare kernel takes. Build once per packet, compare many times.
+// The zero-padded key words of a <= 16-byte key, in registers.
+template <size_t kSize>
+struct ShortProbe {
+  static_assert(kSize >= 1 && kSize <= 16,
+                "register probes cover the short-key layouts only");
+  uint64_t w0 = 0;
+  uint64_t w1 = 0;
+
+  explicit ShortProbe(const uint8_t* key) {
+    if constexpr (kSize >= 8) {
+      std::memcpy(&w0, key, 8);
+      if constexpr (kSize > 8) {
+        // Overlapping tail load, shifted down so the pad bytes become zero —
+        // exactly the bytes SetKeyBytes stores for word 1.
+        uint64_t tail;
+        std::memcpy(&tail, key + kSize - 8, 8);
+        w1 = tail >> ((16 - kSize) * 8);
+      }
+    } else {
+      std::memcpy(&w0, key, kSize);
+    }
+  }
+};
+
+// A key lifted to its padded word representation: the probe for keys wider
+// than 16 bytes.
 template <typename Key>
 struct PaddedKey {
   static constexpr size_t kWords = Key::kWords;
 
   uint64_t words[kWords];
 
-  PaddedKey() { std::memset(words, 0, sizeof(words)); }
   explicit PaddedKey(const Key& k) { k.ToWords(words); }
 };
 
@@ -44,6 +83,9 @@ template <typename Key>
 class BucketArray {
  public:
   static constexpr size_t kKeyWords = Key::kWords;
+  static constexpr bool kShortKey = Key::kSize <= 16;
+  using Probe = std::conditional_t<kShortKey, ShortProbe<Key::kSize>,
+                                   PaddedKey<Key>>;
 
   BucketArray() = default;
   explicit BucketArray(size_t n) { Reset(n); }
@@ -61,12 +103,8 @@ class BucketArray {
 
   size_t size() const { return n_; }
 
-  // Raw views for the SIMD kernels (simd/ops*.h).
-  const uint64_t* key_words() const { return words_.data(); }
+  // The counter plane, for the control-plane scans.
   const uint32_t* values() const { return values_.data(); }
-  // Mutable view for StoreShortKey in the register-probe update path; the
-  // probe's words carry zero pads, so the invariant above holds.
-  uint64_t* mutable_key_words() { return words_.data(); }
 
   uint32_t Value(size_t i) const { return values_[i]; }
   void SetValue(size_t i, uint32_t v) { values_[i] = v; }
@@ -85,8 +123,8 @@ class BucketArray {
   }
 
   void SetKey(size_t i, const Key& k) { SetKeyBytes(i, k.data()); }
-  void SetKeyWords(size_t i, const uint64_t* probe) {
-    std::memcpy(words_.data() + i * kKeyWords, probe, kKeyWords * 8);
+  void SetKeyWords(size_t i, const uint64_t* words) {
+    std::memcpy(words_.data() + i * kKeyWords, words, kKeyWords * 8);
   }
   void SetKeyBytes(size_t i, const uint8_t* bytes) {
     uint64_t* dst = words_.data() + i * kKeyWords;
@@ -101,11 +139,84 @@ class BucketArray {
     values_[dst_i] = src.values_[src_i];
   }
 
-  bool KeyEquals(size_t i, const uint64_t* probe) const {
+  bool KeyEquals(size_t i, const uint64_t* words) const {
     const uint64_t* slot = KeyWords(i);
     bool eq = true;
-    for (size_t w = 0; w < kKeyWords; ++w) eq &= slot[w] == probe[w];
+    for (size_t w = 0; w < kKeyWords; ++w) eq &= slot[w] == words[w];
     return eq;
+  }
+
+  // ---- Key probes --------------------------------------------------------
+
+  static Probe MakeProbe(const Key& key) {
+    if constexpr (kShortKey) {
+      return Probe(key.data());
+    } else {
+      return Probe(key);
+    }
+  }
+
+  // Slot i holds the probe key (occupancy not consulted).
+  bool KeyMatches(size_t i, const Probe& p) const {
+    if constexpr (kShortKey) {
+      const uint64_t* slot = KeyWords(i);
+      if constexpr (kKeyWords == 1) {
+        return slot[0] == p.w0;
+      } else {
+        // Branchless combine: one test instead of two data-dependent
+        // branches.
+        return ((slot[0] ^ p.w0) | (slot[1] ^ p.w1)) == 0;
+      }
+    } else {
+      return KeyEquals(i, p.words);
+    }
+  }
+
+  // First i in [0, d) whose bucket idx[i] is occupied AND holds the probe
+  // key; -1 when no array tracks it (CocoSketch pass 1).
+  int FindMatch(const size_t* idx, size_t d, const Probe& p) const {
+    if constexpr (kShortKey) {
+      // Branchless accumulation instead of an early exit: WHICH array holds
+      // a tracked flow is data-dependent (~uniform over arrays), so the exit
+      // branch mispredicts about once per matched packet — worth ~2.5 ns at
+      // d=2 — while the extra compares read lines the batch path already
+      // prefetched. Wide keys keep the early exit: their multi-word compare
+      // is expensive enough to be worth skipping.
+      uint32_t mask = 0;
+      for (size_t i = 0; i < d; ++i) {
+        const uint32_t hit = static_cast<uint32_t>(values_[idx[i]] != 0) &
+                             static_cast<uint32_t>(KeyMatches(idx[i], p));
+        mask |= hit << i;
+      }
+      return mask == 0 ? -1 : __builtin_ctz(mask);
+    } else {
+      for (size_t i = 0; i < d; ++i) {
+        if (values_[idx[i]] != 0 && KeyMatches(idx[i], p)) {
+          return static_cast<int>(i);
+        }
+      }
+      return -1;
+    }
+  }
+
+  // Bit i set iff bucket idx[i] holds the probe key, occupancy NOT
+  // consulted (HwCocoSketch's per-array replacement decision).
+  uint32_t KeyEqMask(const size_t* idx, size_t d, const Probe& p) const {
+    uint32_t mask = 0;
+    for (size_t i = 0; i < d; ++i) {
+      mask |= static_cast<uint32_t>(KeyMatches(idx[i], p)) << i;
+    }
+    return mask;
+  }
+
+  // Writes the probe key into slot i; the probe carries zero pads.
+  void StoreKey(size_t i, const Probe& p) {
+    if constexpr (kShortKey) {
+      words_[i * kKeyWords] = p.w0;
+      if constexpr (kKeyWords == 2) words_[i * kKeyWords + 1] = p.w1;
+    } else {
+      SetKeyWords(i, p.words);
+    }
   }
 
   // Prefetch both halves of a bucket ahead of the update pass.

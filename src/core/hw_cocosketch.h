@@ -16,32 +16,24 @@
 //   kExact       — full-width reciprocal (FPGA variant, §6.1);
 //   kApproximate — Tofino math-unit top-4-bit reciprocal (P4 variant, §6.2).
 //
-// Storage and SIMD tiering mirror CocoSketch: word-addressable SoA buckets
-// (core/bucket_array.h), the d-way key-equality mask computed by the tier's
-// kernel, RNG-consuming replacement draws scalar and array-ordered — state
-// is byte-identical on every tier. The per-array mask is safe to precompute
-// before the increments because array i only ever writes bucket range
-// [i*l, (i+1)*l): no array's key write can affect another array's compare.
+// Every array writes its mapped bucket, so TotalValue() is d times the
+// stream mass and delta-sync deltas are up to d times larger than
+// CocoSketch's for the same traffic.
+//
+// Storage, batching, delta tracking and the control plane come from the
+// shared bucket store (core/bucket_store.h), as for CocoSketch. The d key
+// compares run in one mask up front; that is safe before the increments
+// because array i only ever writes bucket range [i*l, (i+1)*l): no array's
+// key write can affect another array's compare.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <span>
 #include <unordered_map>
-#include <vector>
 
-#include "common/bytes.h"
-#include "common/check.h"
 #include "common/rng.h"
-#include "core/batch_window.h"
-#include "core/bucket_array.h"
-#include "core/sketch_stats.h"
-#include "core/state_image.h"
-#include "hash/multihash.h"
+#include "core/bucket_store.h"
 #include "hw/approx_divider.h"
-#include "simd/dispatch.h"
-#include "simd/ops.h"
 
 namespace coco::core {
 
@@ -51,64 +43,23 @@ enum class DivisionMode {
 };
 
 template <typename Key>
-class HwCocoSketch {
+class HwCocoSketch : public BucketStore<HwCocoSketch<Key>, Key> {
+  using Base = BucketStore<HwCocoSketch<Key>, Key>;
+  friend Base;
+
  public:
-  using KeyType = Key;
-
-  static constexpr size_t kMaxD = 8;
-  static constexpr size_t kKeyWords = BucketArray<Key>::kKeyWords;
-  static constexpr size_t kBatchWindow = 32;
-
-  static constexpr size_t BucketBytes() {
-    return Key::kSize + sizeof(uint32_t);
-  }
-
   // Default seed is per-process entropy; see CocoSketch's constructor note.
   HwCocoSketch(size_t memory_bytes, size_t d = 2,
                DivisionMode division = DivisionMode::kExact,
                uint64_t seed = ProcessSeed())
-      : d_(d),
-        l_(memory_bytes / (d * BucketBytes())),
-        division_(division),
-        seed_(seed),
-        hash_(seed, d_, l_ == 0 ? 1 : l_),
-        rng_(seed ^ 0x5eedf11d),
-        tier_(simd::ActiveTier()),
-        buckets_(d_ * l_) {
-    COCO_CHECK(d_ >= 1 && d_ <= kMaxD, "d out of range");
-    COCO_CHECK(l_ >= 1, "memory too small for one bucket per array");
-  }
-
-  void Update(const Key& key, uint32_t weight) {
-    uint32_t slot[kMaxD];
-    hash_.Slots(key.data(), key.size(), slot);
-    size_t idx[kMaxD];
-    for (size_t i = 0; i < d_; ++i) idx[i] = i * l_ + slot[i];
-    UpdateAt(idx, key, weight);
-  }
-
-  // Batched fast path through the shared hash+prefetch window pipeline
-  // (core/batch_window.h) — state byte-identical to scalar Update calls.
-  template <typename Record>
-  void UpdateBatch(const Record* records, size_t count) {
-    detail::BatchDriver::Run(*this, records, count);
-  }
-
-  template <typename Record>
-  void UpdateBatch(std::span<const Record> batch) {
-    UpdateBatch(batch.data(), batch.size());
-  }
+      : Base(memory_bytes, d, seed), division_(division) {}
 
   // Per-array estimate: V if the key owns its mapped bucket, else 0
   // (the estimator of Lemma 4).
   uint64_t EstimateInArray(size_t array, const Key& key) const {
-    uint32_t slot[kMaxD];
-    hash_.Slots(key.data(), key.size(), slot);
-    const PaddedKey<Key> probe(key);
-    const size_t idx = array * l_ + slot[array];
-    return (buckets_.Value(idx) != 0 && buckets_.KeyEquals(idx, probe.words))
-               ? buckets_.Value(idx)
-               : 0;
+    uint64_t est[Base::kMaxD];
+    ArrayEstimates(key, est);
+    return est[array];
   }
 
   // §4.3: "since one flow may appear in multiple arrays, we will take the
@@ -118,15 +69,11 @@ class HwCocoSketch {
   // as 0. The strictly unbiased Lemma-4 estimator (0 for absent arrays) is
   // available per array via EstimateInArray.
   uint64_t Query(const Key& key) const {
-    uint32_t slot[kMaxD];
-    hash_.Slots(key.data(), key.size(), slot);
-    const PaddedKey<Key> probe(key);
-    uint64_t est[kMaxD];
+    uint64_t est[Base::kMaxD];
+    ArrayEstimates(key, est);
     size_t recorded = 0;
     for (size_t i = 0; i < d_; ++i) {
-      const size_t idx = i * l_ + slot[i];
-      const uint32_t v = buckets_.Value(idx);
-      if (v != 0 && buckets_.KeyEquals(idx, probe.words)) est[recorded++] = v;
+      if (est[i] != 0) est[recorded++] = est[i];
     }
     return recorded == 0 ? 0 : Median(est, recorded);
   }
@@ -136,15 +83,8 @@ class HwCocoSketch {
   // analysis); under-reports flows recorded in fewer than d/2 arrays, which
   // is why the reporting path above conditions on recorded arrays instead.
   uint64_t UnbiasedQuery(const Key& key) const {
-    uint32_t slot[kMaxD];
-    hash_.Slots(key.data(), key.size(), slot);
-    const PaddedKey<Key> probe(key);
-    uint64_t est[kMaxD];
-    for (size_t i = 0; i < d_; ++i) {
-      const size_t idx = i * l_ + slot[i];
-      const uint32_t v = buckets_.Value(idx);
-      est[i] = (v != 0 && buckets_.KeyEquals(idx, probe.words)) ? v : 0;
-    }
+    uint64_t est[Base::kMaxD];
+    ArrayEstimates(key, est);
     return Median(est, d_);
   }
 
@@ -152,11 +92,10 @@ class HwCocoSketch {
   std::unordered_map<Key, uint64_t> Decode() const {
     std::unordered_map<Key, uint64_t> out;
     out.reserve(buckets_.size());
-    const uint32_t* values = buckets_.values();
-    const size_t n = buckets_.size();
-    for (size_t i = simd::FindNextNonZero(tier_, values, n, 0); i < n;
-         i = simd::FindNextNonZero(tier_, values, n, i + 1)) {
-      out.emplace(buckets_.KeyAt(i), 0);  // dedupe first, score below
+    for (size_t i = 0; i < buckets_.size(); ++i) {
+      if (buckets_.Value(i) != 0) {
+        out.emplace(buckets_.KeyAt(i), 0);  // dedupe first, score below
+      }
     }
     for (auto& [key, est] : out) est = Query(key);
     // Median-of-zeros can score a recorded key at 0; drop those — they are
@@ -167,158 +106,45 @@ class HwCocoSketch {
     return out;
   }
 
-  void Clear() {
-    buckets_.ClearAll();
-    key_replacements_ = 0;
-    updates_ = 0;
-    pass1_misses_ = 0;
-    MarkAllDirty();
-  }
-
-  size_t MemoryBytes() const { return buckets_.size() * BucketBytes(); }
-  size_t d() const { return d_; }
-  size_t l() const { return l_; }
-  uint64_t seed() const { return seed_; }
   DivisionMode division() const { return division_; }
 
-  // SIMD tier control; see CocoSketch::SimdTier.
-  simd::Tier SimdTier() const { return tier_; }
-  void SetSimdTier(simd::Tier t) { tier_ = simd::ClampTier(t); }
-
-  // Total recorded weight across all arrays. Unlike CocoSketch this EXCEEDS
-  // the stream mass: every array increments its mapped bucket, so the stream
-  // is recorded (up to) d times.
-  uint64_t TotalValue() const {
-    return simd::SumU32(tier_, buckets_.values(), buckets_.size());
-  }
-
-  // Raw bucket readout for the control-plane merge path (core/merge.h).
-  const BucketArray<Key>& Buckets() const { return buckets_; }
-  // Mutable access is merge-only (see CocoSketch::MutableBuckets).
-  BucketArray<Key>& MutableBuckets() { return buckets_; }
-
-  // Delta-sync dirty tracking (net/delta.h); see CocoSketch. The hardware
-  // variant writes all d mapped buckets per packet, so its deltas are up to
-  // d× larger for the same traffic.
-  void EnableDeltaTracking() { dirty_.assign(buckets_.size(), 0); }
-  bool DeltaTrackingEnabled() const { return !dirty_.empty(); }
-  const std::vector<uint8_t>& DirtyFlags() const { return dirty_; }
-  void ClearDirtyFlags() {
-    std::fill(dirty_.begin(), dirty_.end(), uint8_t{0});
-  }
-  void MarkAllDirty() {
-    std::fill(dirty_.begin(), dirty_.end(), uint8_t{1});
-  }
-  void MarkDirty(size_t bucket_index) {
-    if (!dirty_.empty()) dirty_[bucket_index] = 1;
-  }
-
-  // Occupancy / load-factor / churn introspection (core/sketch_stats.h).
-  // Note the hardware variant's total_value exceeds the stream mass: every
-  // array increments its mapped bucket, so mass is recorded d times.
-  SketchStats Stats() const {
-    SketchStats stats = ComputeBucketStats(tier_, buckets_.values(), d_, l_);
-    stats.key_replacements = key_replacements_;
-    stats.updates = updates_;
-    stats.pass1_misses = pass1_misses_;
-    return stats;
-  }
-
-  // Same checksummed control-plane image format as
-  // CocoSketch::SerializeState (core/state_image.h).
-  std::vector<uint8_t> SerializeState() const {
-    return SerializeBucketImage(buckets_, Key::kSize, d_, l_, seed_);
-  }
-
-  // Rejects truncated, geometry-mismatched, and bit-flipped images without
-  // touching any bucket; adopts the image's hash seed on success (see
-  // CocoSketch::RestoreState for why).
-  bool RestoreState(const std::vector<uint8_t>& image) {
-    uint64_t img_d = 0, img_l = 0, img_seed = 0;
-    if (!PeekStateImageHeader(image, &img_d, &img_l, &img_seed)) return false;
-    if (!ValidateStateImage(image, d_, l_, img_seed,
-                            buckets_.size() * BucketBytes())) {
-      return false;
-    }
-    RestoreBucketImage(image, Key::kSize, &buckets_);
-    if (img_seed != seed_) {
-      seed_ = img_seed;
-      hash_ = hash::MultiHash(seed_, d_, l_);
-      rng_ = decltype(rng_)(seed_ ^ 0x5eedf11d);
-    }
-    MarkAllDirty();
-    return true;
-  }
-
  private:
-  friend struct detail::BatchDriver;
+  static constexpr uint64_t kRngSalt = 0x5eedf11d;
+
+  using Base::buckets_;
+  using Base::d_;
+  using Base::Indices;
+  using Base::key_replacements_;
+  using Base::pass1_misses_;
+  using Base::rng_;
+  using Base::updates_;
+
+  void ArrayEstimates(const Key& key, uint64_t* est) const {
+    size_t idx[Base::kMaxD];
+    Indices(key, idx);
+    const auto probe = BucketArray<Key>::MakeProbe(key);
+    for (size_t i = 0; i < d_; ++i) {
+      const uint32_t v = buckets_.Value(idx[i]);
+      est[i] = v != 0 && buckets_.KeyMatches(idx[i], probe) ? v : 0;
+    }
+  }
 
   static uint64_t Median(uint64_t* v, size_t n) {
     std::sort(v, v + n);
     return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
   }
 
-  // The §4.2 per-array rule on precomputed absolute bucket indices; shared
-  // by Update and UpdateBatch so the two paths cannot drift — both route
-  // through the policy template, dispatching the tier once (per packet
-  // here, per window in the batch driver). The d key compares happen in one
-  // tier-kernel call up front (arrays write disjoint bucket ranges, so no
-  // increment or key write below can invalidate the mask); the RNG draws
-  // stay scalar and array-ordered on every tier.
-  void UpdateAt(const size_t* idx, const Key& key, uint32_t weight) {
-    switch (tier_) {
-      case simd::Tier::kAvx2:
-        UpdateAtAvx2(idx, key, weight);
-        break;
-      case simd::Tier::kSse2:
-        UpdateAtOps<simd::Sse2Ops>(idx, key, weight);
-        break;
-      case simd::Tier::kScalar:
-        UpdateAtOps<simd::ScalarOps>(idx, key, weight);
-        break;
-    }
-  }
-
-  // Target-attributed trampoline so the AVX2 kernels can inline.
-  COCO_TARGET_AVX2 void UpdateAtAvx2(const size_t* idx, const Key& key,
-                                     uint32_t weight) {
-    UpdateAtOps<simd::Avx2Ops>(idx, key, weight);
-  }
-
-  // Like CocoSketch::UpdateAtOps, the probe representation splits on key
-  // width: <= 16 bytes rides the register probe, wider keys the padded word
-  // array. Both produce the exact stored byte layout. kD mirrors
-  // CocoSketch::UpdateAtOps: compile-time d from the batch driver's
-  // specialized instantiations, 0 = runtime d_.
-  template <typename Ops, size_t kD = 0>
-  COCO_FORCE_INLINE void UpdateAtOps(const size_t* idx, const Key& key,
-                                     uint32_t weight) {
+  // The §4.2 per-array rule on the key's absolute bucket indices: the d key
+  // compares happen in one mask up front (arrays write disjoint bucket
+  // ranges, so no increment or key write below can invalidate it); the RNG
+  // draws run in array order.
+  template <size_t kD = 0>
+  [[gnu::always_inline]] inline void UpdateAt(const size_t* idx,
+                                              const Key& key,
+                                              uint32_t weight) {
     const size_t d = kD == 0 ? d_ : kD;
-    if constexpr (Key::kSize <= 16) {
-      const auto probe = Ops::template MakeProbe<Key::kSize>(key.data());
-      const uint32_t eq = Ops::template KeyEqMaskShort<Key::kSize>(
-          buckets_.key_words(), idx, d, probe);
-      ApplyRule(idx, d, weight, eq, [&](size_t chosen) {
-        Ops::template StoreKey<Key::kSize>(buckets_.mutable_key_words(),
-                                           chosen, probe);
-      });
-    } else {
-      const PaddedKey<Key> probe(key);
-      const uint32_t eq = Ops::template KeyEqMask<kKeyWords>(
-          buckets_.key_words(), idx, d, probe.words);
-      ApplyRule(idx, d, weight, eq, [&](size_t chosen) {
-        buckets_.SetKeyWords(chosen, probe.words);
-      });
-    }
-  }
-
-  // The probe-representation-independent body of §4.2: per-array increment
-  // plus reciprocal replacement draw; `store_key` writes the probe into a
-  // bucket slot on replacement.
-  template <typename StoreFn>
-  COCO_FORCE_INLINE void ApplyRule(const size_t* idx, size_t d,
-                                   uint32_t weight, uint32_t eq,
-                                   StoreFn&& store_key) {
+    const auto probe = BucketArray<Key>::MakeProbe(key);
+    const uint32_t eq = buckets_.KeyEqMask(idx, d, probe);
     ++updates_;
     // "Pass-1 miss" for the hardware variant: the flow's key owned none of
     // its d mapped buckets when the packet arrived.
@@ -326,7 +152,7 @@ class HwCocoSketch {
     for (size_t i = 0; i < d; ++i) {
       // Value stage: unconditional increment — no dependence on the key.
       buckets_.AddValue(idx[i], weight);
-      MarkDirty(idx[i]);
+      this->MarkDirty(idx[i]);
       if ((eq >> i) & 1) continue;  // matching key needs no replacement draw
       // Key stage: replace w.p. weight / V_new via reciprocal comparison,
       // exactly as the hardware pipelines execute it.
@@ -336,25 +162,13 @@ class HwCocoSketch {
               : hw::ApproxDivider::Reciprocal(buckets_.Value(idx[i]));
       const uint64_t threshold = static_cast<uint64_t>(recip) * weight;
       if (static_cast<uint64_t>(rng_.Next32()) < threshold) {
-        store_key(idx[i]);
+        buckets_.StoreKey(idx[i], probe);
         ++key_replacements_;
       }
     }
   }
 
-  size_t d_;
-  size_t l_;
   DivisionMode division_;
-  uint64_t seed_;
-  hash::MultiHash hash_;
-  Rng rng_;
-  simd::Tier tier_;
-  BucketArray<Key> buckets_;
-  std::vector<uint8_t> dirty_;  // empty = delta tracking off
-  uint64_t key_replacements_ = 0;
-  // Attack-detection signal counters (core/attack_monitor.h).
-  uint64_t updates_ = 0;
-  uint64_t pass1_misses_ = 0;
 };
 
 }  // namespace coco::core

@@ -39,7 +39,6 @@
 #include "common/rng.h"
 #include "core/cocosketch.h"
 #include "core/hw_cocosketch.h"
-#include "simd/ops.h"
 
 namespace coco::core {
 
@@ -100,16 +99,12 @@ MergeStats MergeBucketArrays(Sketch* dst, const Sketch& src, Rng* rng) {
   }
   auto& dst_buckets = dst->MutableBuckets();
   const auto& src_buckets = src.Buckets();
-  // Empty source slots consume no RNG draw, so skipping them with the
-  // tier's find-next-occupied scan merges a sparse shard in time
-  // proportional to its occupancy while drawing the exact same RNG
-  // sequence as a full walk.
-  const uint32_t* src_values = src_buckets.values();
-  const size_t n = src_buckets.size();
-  const simd::Tier tier = dst->SimdTier();
-  for (size_t i = simd::FindNextNonZero(tier, src_values, n, 0); i < n;
-       i = simd::FindNextNonZero(tier, src_values, n, i + 1)) {
-    MergeSlot(&dst_buckets, src_buckets, i, rng, &stats);
+  // Empty source slots consume no RNG draw, so skipping them keeps the
+  // draw sequence of the pairwise rule.
+  for (size_t i = 0; i < src_buckets.size(); ++i) {
+    if (src_buckets.Value(i) != 0) {
+      MergeSlot(&dst_buckets, src_buckets, i, rng, &stats);
+    }
   }
   dst->MarkAllDirty();
   stats.ok = true;

@@ -67,7 +67,6 @@ RotationStats ReplayAndSwap(Sketch* old_sketch, Sketch&& fresh,
   stats.new_seed = fresh.seed();
   stats.mass_before = old_sketch->TotalValue();
 
-  fresh.SetSimdTier(old_sketch->SimdTier());
   if (old_sketch->DeltaTrackingEnabled()) fresh.EnableDeltaTracking();
 
   auto table = old_sketch->Decode();

@@ -1,5 +1,5 @@
-// Introspection of a sketch's bucket state, computed on demand by the
-// Stats() methods of CocoSketch / HwCocoSketch / ShardedCocoSketch.
+// Introspection of a sketch's bucket state, computed on demand by
+// BucketStore::Stats() (core/bucket_store.h) for both CocoSketch variants.
 //
 // Pull-based by design: nothing here touches the update hot path — a
 // Stats() call scans the bucket array once (control-plane cost, same order
@@ -11,8 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "simd/ops.h"
 
 namespace coco::core {
 
@@ -38,31 +36,5 @@ struct SketchStats {
   uint64_t pass1_misses = 0;
   std::vector<size_t> per_array_occupied;  // one entry per array (d entries)
 };
-
-// Shared scan over the SoA counter array both sketch variants use (`values`
-// is the flat d*l array, array i occupying [i*l, (i+1)*l)). Each statistic
-// is one streaming kernel over the densely packed counters — the SIMD tiers
-// process 4-8 counters per step, and since keys live in a separate array
-// the scan never touches key bytes at all.
-inline SketchStats ComputeBucketStats(simd::Tier tier, const uint32_t* values,
-                                      size_t d, size_t l) {
-  SketchStats stats;
-  const size_t total = d * l;
-  stats.arrays = d;
-  stats.buckets_total = total;
-  stats.per_array_occupied.assign(d, 0);
-  for (size_t i = 0; i < d; ++i) {
-    stats.per_array_occupied[i] = simd::CountNonZero(tier, values + i * l, l);
-    stats.buckets_occupied += stats.per_array_occupied[i];
-  }
-  stats.total_value = simd::SumU32(tier, values, total);
-  stats.max_bucket_value = simd::MaxU32(tier, values, total);
-  stats.min_occupied_value = simd::MinNonZeroU32(tier, values, total);
-  if (stats.buckets_total != 0) {
-    stats.load_factor = static_cast<double>(stats.buckets_occupied) /
-                        static_cast<double>(stats.buckets_total);
-  }
-  return stats;
-}
 
 }  // namespace coco::core

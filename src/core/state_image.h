@@ -2,7 +2,9 @@
 // variants.
 //
 // Layout: | version (8 BE) | d (8 BE) | l (8 BE) | hash seed (8 BE) |
-// checksum (8 BE) | body |. The checksum is Hash64 over the body seeded with
+// checksum (8 BE) | body |. The body (written by BucketStore::SerializeState,
+// core/bucket_store.h) is each bucket's key bytes then its BE32 value, in
+// bucket index order. The checksum is Hash64 over the body seeded with
 // the version, geometry, and hash seed, so truncation, version skew, geometry
 // mismatches, and bit flips anywhere in the image — including the seed word —
 // are all detected before a single byte reaches a live sketch. The OVS
@@ -20,7 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "common/bytes.h"
@@ -76,42 +77,6 @@ inline bool ValidateStateImage(const std::vector<uint8_t>& image, uint64_t d,
   return LoadBE64(image.data() + 32) ==
          StateChecksum(kStateFormatVersion, d, l, seed,
                        image.data() + kStateHeaderBytes, body_bytes);
-}
-
-// Serializes a word-addressable bucket array (core/bucket_array.h) into a
-// sealed image. The body layout — key bytes then BE32 value per bucket, in
-// index order — is EXACTLY the seed's array-of-structs format: the in-memory
-// word padding never reaches the wire, so images interoperate across layout
-// generations and stay byte-identical across SIMD tiers. Shared by both
-// sketch variants (previously two copies of the loop).
-template <typename BucketArrayT>
-std::vector<uint8_t> SerializeBucketImage(const BucketArrayT& buckets,
-                                          size_t key_size, uint64_t d,
-                                          uint64_t l, uint64_t seed) {
-  const size_t bucket_bytes = key_size + 4;
-  std::vector<uint8_t> out(kStateHeaderBytes + buckets.size() * bucket_bytes);
-  uint8_t* p = out.data() + kStateHeaderBytes;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    std::memcpy(p, buckets.KeyBytes(i), key_size);
-    StoreBE32(p + key_size, buckets.Value(i));
-    p += bucket_bytes;
-  }
-  SealStateImage(d, l, seed, &out);
-  return out;
-}
-
-// Loads a validated image's body back into the bucket array. Callers must
-// run ValidateStateImage first; this only moves bytes.
-template <typename BucketArrayT>
-void RestoreBucketImage(const std::vector<uint8_t>& image, size_t key_size,
-                        BucketArrayT* buckets) {
-  const size_t bucket_bytes = key_size + 4;
-  const uint8_t* p = image.data() + kStateHeaderBytes;
-  for (size_t i = 0; i < buckets->size(); ++i) {
-    buckets->SetKeyBytes(i, p);
-    buckets->SetValue(i, LoadBE32(p + key_size));
-    p += bucket_bytes;
-  }
 }
 
 // Header peek for tools that receive an image without knowing the geometry

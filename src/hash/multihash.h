@@ -68,8 +68,8 @@ class MultiHash {
   size_t d() const { return d_; }
   size_t width() const { return width_; }
   uint64_t seed() const { return seed_; }
-  // Precomputed per-array salts (d() entries). Exposed so vectorized slot
-  // kernels (simd/hash_avx2.h) can replicate Slots() bit-for-bit.
+  // Precomputed per-array salts (d() entries). Exposed so the vectorized
+  // window hash (hash/window_hash.h) can replicate Slots() bit-for-bit.
   const uint64_t* salts() const { return salt_; }
 
  private:

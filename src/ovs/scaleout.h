@@ -6,7 +6,7 @@
 //
 //   * RSS flow steering (ovs/steering.h): shard = hash(full key), so every
 //     flow's packets converge on one shard, every shard's sketch has exactly
-//     one writer, and the SIMD batch path runs lock-free per core.
+//     one writer, and the batched update path runs lock-free per core.
 //   * Shard-group topology with a pluggable placement cost model: shards are
 //     placed onto workers (and workers onto NUMA-style groups) by
 //     PlaceShards; a worker polls only the shards it owns.

@@ -26,7 +26,7 @@ template <size_t N>
 struct FixedKey {
   static constexpr size_t kSize = N;
   // Word-addressable view: keys occupy kWords zero-padded 64-bit words in
-  // the sketch bucket arrays (core/bucket_array.h), so SIMD key compares
+  // the sketch bucket arrays (core/bucket_array.h), so key compares
   // operate on whole words and word equality coincides with byte equality.
   static constexpr size_t kWords = (N + 7) / 8;
   static constexpr size_t kPaddedSize = kWords * 8;

@@ -9,8 +9,7 @@
 //    the conservation invariant;
 //  * the unbiasedness property (Lemma 3 / Lemma 4) holds on uniform
 //    no-heavy-tail traffic — the workload with nowhere to hide — for both
-//    variants and across every SIMD tier, with byte-identical state images
-//    per tier under an explicit seed.
+//    variants.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -29,7 +28,6 @@
 #include "ovs/datapath_sim.h"
 #include "packet/keys.h"
 #include "query/flow_table.h"
-#include "simd/dispatch.h"
 #include "trace/adversarial.h"
 #include "trace/generators.h"
 #include "trace/ground_truth.h"
@@ -374,39 +372,34 @@ TEST(Unbiasedness, UniformTrafficEstimatesCentredOnZero) {
   const double kTrueSize =
       static_cast<double>(kPackets) / static_cast<double>(kFlows);
 
-  for (const simd::Tier tier :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
-    double signed_error_sum = 0;
-    size_t samples = 0;
-    for (int trial = 0; trial < kTrials; ++trial) {
-      const uint64_t seed = 0xace0 + static_cast<uint64_t>(trial);
-      const auto packets = trace::GenerateUniformTrace(kPackets, kFlows, seed);
-      trace::ExactCounter<FiveTuple> truth;
-      std::vector<FiveTuple> probe;
-      for (const Packet& p : packets) {
-        truth.Add(p.key, p.weight);
-        if (probe.size() < kProbe &&
-            truth.Count(p.key) == p.weight) {  // first sighting
-          probe.push_back(p.key);
-        }
-      }
-      CocoSketch<FiveTuple> sketch(KiB(8), 2, seed * 2 + 1);
-      sketch.SetSimdTier(tier);
-      for (const Packet& p : packets) sketch.Update(p.key, p.weight);
-      const auto table = sketch.Decode();
-      for (const auto& key : probe) {
-        const auto it = table.find(key);
-        const double est =
-            it == table.end() ? 0.0 : static_cast<double>(it->second);
-        signed_error_sum += est - static_cast<double>(truth.Count(key));
-        ++samples;
+  double signed_error_sum = 0;
+  size_t samples = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const uint64_t seed = 0xace0 + static_cast<uint64_t>(trial);
+    const auto packets = trace::GenerateUniformTrace(kPackets, kFlows, seed);
+    trace::ExactCounter<FiveTuple> truth;
+    std::vector<FiveTuple> probe;
+    for (const Packet& p : packets) {
+      truth.Add(p.key, p.weight);
+      if (probe.size() < kProbe &&
+          truth.Count(p.key) == p.weight) {  // first sighting
+        probe.push_back(p.key);
       }
     }
-    const double mean_signed = signed_error_sum / static_cast<double>(samples);
-    EXPECT_LT(std::abs(mean_signed), 0.35 * kTrueSize)
-        << "tier=" << simd::TierName(tier) << " mean signed error "
-        << mean_signed << " vs true size " << kTrueSize;
+    CocoSketch<FiveTuple> sketch(KiB(8), 2, seed * 2 + 1);
+    for (const Packet& p : packets) sketch.Update(p.key, p.weight);
+    const auto table = sketch.Decode();
+    for (const auto& key : probe) {
+      const auto it = table.find(key);
+      const double est =
+          it == table.end() ? 0.0 : static_cast<double>(it->second);
+      signed_error_sum += est - static_cast<double>(truth.Count(key));
+      ++samples;
+    }
   }
+  const double mean_signed = signed_error_sum / static_cast<double>(samples);
+  EXPECT_LT(std::abs(mean_signed), 0.35 * kTrueSize)
+      << "mean signed error " << mean_signed << " vs true size " << kTrueSize;
 }
 
 TEST(Unbiasedness, HwVariantPerArrayEstimatesCentredOnZero) {
@@ -444,23 +437,6 @@ TEST(Unbiasedness, HwVariantPerArrayEstimatesCentredOnZero) {
   const double mean_signed = signed_error_sum / static_cast<double>(samples);
   EXPECT_LT(std::abs(mean_signed), 0.35 * kTrueSize)
       << "mean signed error " << mean_signed << " vs true size " << kTrueSize;
-}
-
-TEST(Unbiasedness, StateImagesByteIdenticalAcrossSimdTiers) {
-  // Explicitly-seeded sketches must serialize identically whichever SIMD
-  // tier processed the stream — the update rule is tier-invariant and the
-  // image (format v3) seals the same seed word.
-  const auto packets = trace::GenerateUniformTrace(20'000, 900, 0x51);
-  std::vector<std::vector<uint8_t>> images;
-  for (const simd::Tier tier :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
-    CocoSketch<FiveTuple> sketch(KiB(8), 2, 0x77);
-    sketch.SetSimdTier(tier);
-    for (const Packet& p : packets) sketch.Update(p.key, p.weight);
-    images.push_back(sketch.SerializeState());
-  }
-  EXPECT_EQ(images[0], images[1]);
-  EXPECT_EQ(images[0], images[2]);
 }
 
 // ---- Keyed-hashing defaults ----------------------------------------------

@@ -1,9 +1,12 @@
 // Tests for the basic CocoSketch (§4.1): update semantics, mass
 // conservation, the at-most-one-copy invariant, unbiasedness over partial
-// keys (Lemma 3), the recall bound (Theorem 4), and heavy-hitter quality.
+// keys (Lemma 3), the recall bound (Theorem 4), and heavy-hitter quality;
+// plus the bucket store underneath it — the key-probe kernels and the
+// control-plane counter scans.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "common/sizes.h"
@@ -217,6 +220,105 @@ TEST(CocoSketch, ClearResets) {
 
 TEST(CocoSketch, RejectsBadGeometry) {
   EXPECT_DEATH(CocoSketch<FiveTuple>(8, 2), "memory too small");
+}
+
+// The probe kernels against planted keys: FindMatch's first-match index,
+// KeyEqMask's bit set, and StoreKey's exact padded slot bytes.
+template <size_t kSize>
+void ExpectProbeKernelsMatchPlantedKeys(uint64_t seed) {
+  using Key = FixedKey<kSize>;
+  Rng rng(seed);
+  auto random_key = [&rng] {
+    Key k;
+    for (auto& b : k.bytes) b = static_cast<uint8_t>(rng.Next32());
+    return k;
+  };
+  const Key key = random_key();
+  const auto probe = BucketArray<Key>::MakeProbe(key);
+  for (size_t d = 1; d <= 8; ++d) {
+    BucketArray<Key> buckets(d);  // array i's mapped bucket is bucket i
+    const size_t idx[8] = {0, 1, 2, 3, 4, 5, 6, 7};
+    int want_match = -1;
+    uint32_t want_mask = 0;
+    for (size_t i = 0; i < d; ++i) {
+      const bool planted = rng.NextBelow(2) == 0;
+      buckets.SetKey(i, planted ? key : random_key());
+      buckets.SetValue(i, static_cast<uint32_t>(rng.NextBelow(3)));
+      want_mask |= static_cast<uint32_t>(planted) << i;
+      if (want_match < 0 && planted && buckets.Value(i) != 0) {
+        want_match = static_cast<int>(i);
+      }
+    }
+    EXPECT_EQ(buckets.FindMatch(idx, d, probe), want_match) << kSize << "B";
+    EXPECT_EQ(buckets.KeyEqMask(idx, d, probe), want_mask) << kSize << "B";
+    // StoreKey writes the exact padded slot: key bytes, then zero pads.
+    uint64_t ones[Key::kWords];
+    std::fill(std::begin(ones), std::end(ones), ~uint64_t{0});
+    buckets.SetKeyWords(0, ones);
+    buckets.StoreKey(0, probe);
+    EXPECT_EQ(std::memcmp(buckets.KeyWords(0), PaddedKey<Key>(key).words,
+                          sizeof(ones)),
+              0)
+        << kSize << "B";
+  }
+}
+
+TEST(BucketArray, ShortProbeKernelsMatchNaiveCompare) {
+  // The register probe: sub-word, single-word, overlapping-tail and full
+  // two-word layouts.
+  ExpectProbeKernelsMatchPlantedKeys<4>(0xa4);
+  ExpectProbeKernelsMatchPlantedKeys<8>(0xa8);
+  ExpectProbeKernelsMatchPlantedKeys<13>(0xad);
+  ExpectProbeKernelsMatchPlantedKeys<16>(0xb0);
+}
+
+TEST(BucketArray, WideKeyFindMatchAndMaskMatchNaiveCompare) {
+  // The word-array probe: the narrowest wide key, an unpadded three-word
+  // key and the 37-byte V6Tuple layout.
+  ExpectProbeKernelsMatchPlantedKeys<17>(0xb1);
+  ExpectProbeKernelsMatchPlantedKeys<24>(0xb8);
+  ExpectProbeKernelsMatchPlantedKeys<37>(0xc5);
+}
+
+TEST(BucketStore, StatsMatchNaiveScan) {
+  // Empty, half-full and full counter planes against plain loops.
+  for (uint64_t zero_per_mille : {1000, 500, 0}) {
+    CocoSketch<FiveTuple> sketch(KiB(16), 3, 0x5ca1);
+    auto& buckets = sketch.MutableBuckets();
+    Rng rng(zero_per_mille);
+    SketchStats want;
+    want.per_array_occupied.assign(3, 0);
+    for (size_t i = 0; i < buckets.size(); ++i) {
+      const uint32_t v = rng.NextBelow(1000) < zero_per_mille ? 0 : rng.Next32();
+      buckets.SetValue(i, v);
+      want.total_value += v;
+      want.max_bucket_value = std::max(want.max_bucket_value, v);
+      if (v == 0) continue;
+      ++want.buckets_occupied;
+      ++want.per_array_occupied[i / sketch.l()];
+      if (want.min_occupied_value == 0 || v < want.min_occupied_value) {
+        want.min_occupied_value = v;
+      }
+    }
+    const SketchStats got = sketch.Stats();
+    EXPECT_EQ(sketch.TotalValue(), want.total_value);
+    EXPECT_EQ(got.total_value, want.total_value);
+    EXPECT_EQ(got.buckets_occupied, want.buckets_occupied);
+    EXPECT_EQ(got.per_array_occupied, want.per_array_occupied);
+    EXPECT_EQ(got.max_bucket_value, want.max_bucket_value);
+    EXPECT_EQ(got.min_occupied_value, want.min_occupied_value);
+  }
+}
+
+TEST(BucketStore, TotalValueDoesNotWrap) {
+  // Saturated counters overflow 32 bits at once; the 64-bit accumulator
+  // carries the full sum.
+  CocoSketch<FiveTuple> full(KiB(16), 2, 0x5ca2);
+  auto& buckets = full.MutableBuckets();
+  for (size_t i = 0; i < buckets.size(); ++i) buckets.SetValue(i, UINT32_MAX);
+  const uint64_t want = uint64_t{buckets.size()} * UINT32_MAX;
+  EXPECT_EQ(full.TotalValue(), want);
+  EXPECT_EQ(full.Stats().total_value, want);
 }
 
 }  // namespace

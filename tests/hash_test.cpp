@@ -1,13 +1,17 @@
 // Unit tests for src/hash: determinism, seed independence, avalanche
-// behaviour, and bucket-distribution uniformity of the hash family.
+// behaviour, bucket-distribution uniformity of the hash family, and the
+// window hash's bit-exactness against MultiHash::Slots.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <set>
 #include <vector>
 
+#include "common/rng.h"
 #include "hash/bobhash.h"
 #include "hash/multihash.h"
+#include "hash/window_hash.h"
+#include "packet/keys.h"
 
 namespace coco::hash {
 namespace {
@@ -225,6 +229,46 @@ TEST(MultiHash, OnePassMatchesRepeatedCalls) {
   mh.Slots(key, sizeof(key), again);
   for (size_t i = 0; i < 4; ++i) EXPECT_EQ(first[i], again[i]);
 }
+
+#if COCO_HASH_AVX2
+// avx2::SlotsWindow over an 11-key window (two groups of four plus a ragged
+// tail) against per-key MultiHash::Slots.
+template <size_t kLen>
+void ExpectWindowMatchesSlots(uint64_t seed) {
+  struct Record {
+    FixedKey<kLen> key;
+    uint32_t weight = 1;
+  };
+  Rng rng(seed);
+  Record recs[11];
+  for (auto& r : recs) {
+    for (auto& b : r.key.bytes) b = static_cast<uint8_t>(rng.Next32());
+  }
+  for (size_t d : {1, 2, 3, 4, 8}) {
+    const MultiHash mh(seed + d, d, 12289);
+    uint32_t want[11][MultiHash::kMaxIndices];
+    uint32_t got[11][MultiHash::kMaxIndices];
+    for (size_t j = 0; j < 11; ++j) mh.Slots(recs[j].key.data(), kLen, want[j]);
+    avx2::SlotsWindow(mh, recs, 11, got);
+    for (size_t j = 0; j < 11; ++j) {
+      for (size_t i = 0; i < d; ++i) {
+        EXPECT_EQ(got[j][i], want[j][i])
+            << kLen << "-byte keys, d=" << d << " key=" << j << " array=" << i;
+      }
+    }
+  }
+}
+
+TEST(WindowHash, HashSlots4MatchesMultiHashSlots) {
+  // Sub-word keys build their lanes on the stack; 8..16-byte keys gather
+  // KeyHash's two overlapping loads.
+  if (!Avx2WindowHashActive()) GTEST_SKIP() << "host lacks AVX2";
+  ExpectWindowMatchesSlots<4>(0x4a54);
+  ExpectWindowMatchesSlots<8>(0x4a58);
+  ExpectWindowMatchesSlots<13>(0x4a5d);
+  ExpectWindowMatchesSlots<16>(0x4a60);
+}
+#endif
 
 TEST(HashFamily, PrecomputedSeedsMatchDerivedFallback) {
   // Indices beyond the precomputed window must produce the same function as
