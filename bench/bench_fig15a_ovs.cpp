@@ -3,8 +3,9 @@
 // cap. On the paper's testbed throughput saturates the 40G NIC at >= 2
 // threads with < 1.8% CPU overhead from the sketch.
 //
-// Second half: the multi-core scale-out curve (ovs/scaleout.h) — RSS flow
-// steering, per-shard single-writer sketches, work stealing — run UNCAPPED
+// Both halves run the one datapath, ovs::RunScaleout. Second half: the
+// multi-core scale-out curve — RSS flow steering, per-shard single-writer
+// sketches, work stealing — run UNCAPPED
 // so the compute path itself is what scales, swept over thread counts up to
 // the host's hardware concurrency (8 always included, per the scale-out
 // acceptance gate). Per-core efficiency divides by min(threads, host cores):
@@ -20,7 +21,6 @@
 
 #include "bench_json.h"
 #include "harness.h"
-#include "ovs/datapath_sim.h"
 #include "ovs/scaleout.h"
 
 using namespace coco;
@@ -37,19 +37,23 @@ int main() {
 
   std::vector<double> with_sketch, without_sketch, overhead, batch_fill;
   for (size_t threads = 1; threads <= 4; ++threads) {
-    ovs::DatapathConfig with;
-    with.num_queues = threads;
+    // The paper's OVS shape: one measurement thread per Rx queue, no
+    // stealing, the NIC line rate as the cap.
+    ovs::ScaleoutConfig with;
+    with.num_shards = threads;
+    with.num_workers = threads;
+    with.stealing_enabled = false;
     with.nic_rate_mpps = 13.0;
     with.with_sketch = true;
     with.sketch_memory_bytes = KiB(512);
-    const auto rw = ovs::RunDatapath(with, trace);
+    const auto rw = ovs::RunScaleout(with, trace);
     with_sketch.push_back(rw.mpps);
     overhead.push_back(100.0 * rw.measurement_cpu_fraction);
     batch_fill.push_back(rw.avg_batch_fill);
 
-    ovs::DatapathConfig without = with;
+    ovs::ScaleoutConfig without = with;
     without.with_sketch = false;
-    without_sketch.push_back(ovs::RunDatapath(without, trace).mpps);
+    without_sketch.push_back(ovs::RunScaleout(without, trace).mpps);
   }
 
   PrintHeader("Fig 15(a): throughput (Mpps) vs threads, NIC-capped");

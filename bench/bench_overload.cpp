@@ -18,16 +18,17 @@
 // reported bounded-loss estimate reconstructs the offered mass exactly.
 #include "harness.h"
 #include "obs/snapshot.h"
-#include "ovs/datapath_sim.h"
+#include "ovs/scaleout.h"
 
 using namespace coco;
 using namespace coco::bench;
 
 namespace {
 
-ovs::DatapathConfig BaseConfig() {
-  ovs::DatapathConfig dp;
-  dp.num_queues = 1;
+ovs::ScaleoutConfig BaseConfig() {
+  ovs::ScaleoutConfig dp;
+  dp.num_shards = 1;
+  dp.num_workers = 1;
   dp.nic_rate_mpps = 4.0;  // paced: the stall window bounds the loss
   dp.ring_capacity = 1024;
   dp.sketch_memory_bytes = KiB(512);
@@ -47,18 +48,18 @@ int main() {
       "(%zu pkts at 4 Mpps, 1024-slot ring)\n",
       trace.size());
 
-  ovs::DatapathConfig backpressure = BaseConfig();
+  ovs::ScaleoutConfig backpressure = BaseConfig();
 
-  ovs::DatapathConfig drop = BaseConfig();
+  ovs::ScaleoutConfig drop = BaseConfig();
   drop.overflow = ovs::OverflowPolicy::kDropNewest;
 
-  ovs::DatapathConfig degrade = drop;
+  ovs::ScaleoutConfig degrade = drop;
   degrade.degrade_enabled = true;
   degrade.degrade_sample_prob = 0.25;
 
   std::vector<double> mpps, dropped, processed_pct, degraded_pct, mass_pct;
   for (const auto& config : {backpressure, drop, degrade}) {
-    const auto r = ovs::RunDatapath(config, trace);
+    const auto r = ovs::RunScaleout(config, trace);
     mpps.push_back(r.mpps);
     dropped.push_back(static_cast<double>(r.health.rx_dropped));
     processed_pct.push_back(100.0 *
@@ -82,8 +83,9 @@ int main() {
   // run publishes into a metrics registry so the accounting below can also be
   // read back from counters alone (docs/OBSERVABILITY.md).
   obs::Registry registry;
-  ovs::DatapathConfig crash;
-  crash.num_queues = 1;
+  ovs::ScaleoutConfig crash;
+  crash.num_shards = 1;
+  crash.num_workers = 1;
   crash.nic_rate_mpps = 1000.0;
   crash.ring_capacity = 1024;
   crash.sketch_memory_bytes = KiB(512);
@@ -91,7 +93,7 @@ int main() {
   crash.watchdog_timeout_ms = 50;
   crash.faults.kills.push_back({0, trace.size() / 2});
   crash.registry = &registry;
-  const auto r = ovs::RunDatapath(crash, trace);
+  const auto r = ovs::RunScaleout(crash, trace);
   const uint64_t mass = metrics::TotalMass(r.merged_table);
 
   PrintHeader("Crash recovery accounting (kill at 50%, ckpt every 4096)");
@@ -107,9 +109,9 @@ int main() {
               static_cast<unsigned long long>(r.health.checkpoints_taken),
               static_cast<unsigned long long>(r.health.restores));
 
-  // The same story from the registry: per-queue packet conservation plus the
+  // The same story from the registry: packet conservation plus the
   // checkpoint byte volume, all from counters the datapath kept live.
-  const auto view = ovs::ReadConservation(&registry, crash.num_queues);
+  const auto view = ovs::ReadConservation(&registry, crash.metrics_prefix);
   std::printf("registry conserve  %12llu = %llu exact + %llu degraded + "
               "%llu dropped -> %s\n",
               static_cast<unsigned long long>(view.offered),
@@ -119,7 +121,9 @@ int main() {
               view.Holds() ? "OK" : "VIOLATED");
   std::printf("checkpoint bytes   %12llu\n",
               static_cast<unsigned long long>(
-                  registry.GetCounter("ovs.q0.checkpoint_bytes")->Value()));
+                  registry
+                      .GetCounter(crash.metrics_prefix + ".q0.checkpoint_bytes")
+                      ->Value()));
 
   std::printf("\nmetrics snapshot of the crash run:\n%s\n",
               obs::ToJson(obs::CaptureSnapshot(registry), /*pretty=*/false)

@@ -6,10 +6,10 @@
 //
 // Two runs:
 //   1. fault-free backpressure run — health counters all land in `exact`;
-//   2. faulted run (drop-newest ring, injected consumer stall, degradation
+//   2. faulted run (drop-newest ring, injected worker stall, degradation
 //      ladder, checkpoints + a mid-run kill) — every robustness path fires,
 //      and the metrics registry still reconstructs the offered packet count
-//      from exact + degraded + rx_dropped per queue.
+//      from exact + degraded + rx_dropped per shard.
 //
 // Both runs publish into an obs::Registry; the final snapshot is exported
 // as JSON to stdout (or to the file given as argv[1]).
@@ -21,7 +21,7 @@
 #include "core/cocosketch.h"
 #include "keys/key_spec.h"
 #include "obs/snapshot.h"
-#include "ovs/datapath_sim.h"
+#include "ovs/scaleout.h"
 #include "query/flow_table.h"
 #include "trace/generators.h"
 
@@ -29,8 +29,8 @@ using namespace coco;
 
 namespace {
 
-void PrintHealth(const ovs::DatapathResult& result,
-                 const ovs::DatapathConfig& config) {
+void PrintHealth(const ovs::ScaleoutResult& result,
+                 const ovs::ScaleoutConfig& config) {
   std::printf("  drained  : %llu packets\n",
               static_cast<unsigned long long>(result.packets_processed));
   std::printf("  rate     : %.2f Mpps (NIC cap %.1f)\n", result.mpps,
@@ -61,20 +61,22 @@ int main(int argc, char** argv) {
 
   // ---- Run 1: fault-free backpressure datapath --------------------------
   obs::Registry clean_registry;
-  ovs::DatapathConfig config;
-  config.num_queues = 2;          // two Rx queues, two measurement threads
+  ovs::ScaleoutConfig config;
+  config.num_shards = 2;          // two Rx queues (RSS shards)...
+  config.num_workers = 2;         // ...each drained by its own worker
+  config.stealing_enabled = false;
   config.nic_rate_mpps = 13.0;    // 40GbE at the trace's mean packet size
   config.with_sketch = true;
   config.sketch_memory_bytes = KiB(512);
   config.registry = &clean_registry;
 
-  std::printf("running %zu packets through a %zu-queue datapath...\n",
-              packets.size(), config.num_queues);
-  const auto result = ovs::RunDatapath(config, packets);
+  std::printf("running %zu packets through a %zu-shard datapath...\n",
+              packets.size(), config.num_shards);
+  const auto result = ovs::RunScaleout(config, packets);
   PrintHealth(result, config);
 
-  // The datapath decodes and merges its shared-nothing partitions on exit —
-  // query the merged control-plane table directly.
+  // The datapath folds and decodes its shard sketches on exit — query the
+  // merged control-plane table directly.
   const auto by_dst =
       query::Aggregate(result.merged_table, keys::TupleKeySpec::DstIp());
   std::printf("\ntop destinations across the datapath's traffic:\n");
@@ -86,7 +88,7 @@ int main(int argc, char** argv) {
 
   // ---- Run 2: every robustness path firing, metrics still conserve ------
   obs::Registry registry;
-  ovs::DatapathConfig faulty = config;
+  ovs::ScaleoutConfig faulty = config;
   faulty.registry = &registry;
   // Pace the wire slowly enough that the run outlives the injected stall —
   // otherwise the whole trace arrives inside the stall window and nothing is
@@ -99,16 +101,16 @@ int main(int argc, char** argv) {
   faulty.checkpoint_interval = 4096;
   faulty.watchdog_timeout_ms = 50;
   faulty.faults.stalls.push_back({0, 0, 100});  // first-batch stall: backlog
-  faulty.faults.kills.push_back({1, packets.size() / faulty.num_queues / 2});
+  faulty.faults.kills.push_back({1, packets.size() / faulty.num_shards / 2});
 
   std::printf("\nre-running with injected faults "
               "(drop-newest ring, 100 ms stall on q0, kill on q1)...\n");
-  const auto faulted = ovs::RunDatapath(faulty, packets);
+  const auto faulted = ovs::RunScaleout(faulty, packets);
   PrintHealth(faulted, faulty);
 
-  // Conservation, read live from the registry rather than DatapathResult:
-  // per queue, offered == exact + degraded + rx_dropped once quiescent.
-  const auto view = ovs::ReadConservation(&registry, faulty.num_queues);
+  // Conservation, read live from the registry rather than ScaleoutResult:
+  // offered == exact + degraded + rx_dropped once quiescent.
+  const auto view = ovs::ReadConservation(&registry, faulty.metrics_prefix);
   std::printf("  conserve : offered %llu == exact %llu + degraded %llu + "
               "dropped %llu -> %s\n",
               static_cast<unsigned long long>(view.offered),

@@ -3,13 +3,13 @@
 #
 # Builds the COCO_SANITIZE CMake presets and runs the tests that exercise the
 # code the sanitizers are aimed at:
-#   thread  — TSan over the lock-free SPSC rings (including the scale-out
-#             consumer-token handoff for work stealing), the watchdog's
-#             stall-detect/kill/respawn paths, the batched merge, the
-#             relaxed-atomic metrics registry, the network-wide
-#             agent/collector transports, the attack-detection/seed-rotation
-#             response on the consumer threads, and the multi-core scale-out
-#             battery (epoch rotation under load, steal/owner races) —
+#   thread  — TSan over the lock-free SPSC rings (including the
+#             consumer-token handoff for work stealing), the one datapath's
+#             worker loop (ovs::RunScaleout: epoch rotation under load,
+#             steal/owner races, the watchdog's stall-detect/kill/respawn
+#             paths with per-shard checkpoint restore, attack detection and
+#             seed rotation), the batched merge, the relaxed-atomic metrics
+#             registry, and the network-wide agent/collector transports —
 #             ovs_test, batch_test, obs_test, netwide_test,
 #             adversarial_test, scaleout_test
 #   address — ASan+UBSan over the deserializers, fuzz loops, the snapshot

@@ -26,8 +26,8 @@ namespace coco::core {
 // The sampling state on its own: geometric skip countdown plus unbiased
 // weight compensation. Extracted from SampledCocoSketch so other layers can
 // apply the identical compensation logic to any sketch — the OVS datapath's
-// graceful-degradation ladder runs one of these per measurement thread while
-// overloaded (src/ovs/degrade.h).
+// graceful-degradation ladder runs one of these per shard while overloaded
+// (src/ovs/degrade.h).
 class SamplingGate {
  public:
   SamplingGate(double probability, uint64_t seed)

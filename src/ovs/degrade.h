@@ -1,4 +1,4 @@
-// Graceful-degradation ladder for the OVS measurement threads.
+// Graceful-degradation ladder for the OVS datapath's shards.
 //
 // When a consumer cannot keep up, dropping whole packets biases every
 // estimate downward. The ladder instead switches the consumer to sampled

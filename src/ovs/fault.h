@@ -3,13 +3,15 @@
 // The paper's deployment (§6, Appendix B) runs measurement as a separate
 // process fed by shared-memory rings, so slow and dead consumers are normal
 // operating conditions, not exceptional ones. A FaultPlan scripts those
-// conditions — stall a consumer, kill it mid-run, corrupt a checkpoint
-// image — keyed to per-queue drain progress rather than wall-clock time, so
-// every failure path is reproducible in CI.
+// conditions — stall a worker, kill it mid-run, corrupt a checkpoint
+// image — keyed to per-shard progress (records applied to the shard's
+// sketch) rather than wall-clock time, so every failure path is
+// reproducible in CI. The `queue` field of each datapath fault is the shard
+// index.
 //
-// Threading contract: each fault targets one queue, and FaultInjector state
-// for a fault is only read/written by that queue's consumer thread (consumer
-// respawns are sequential: the watchdog joins the dead thread before
+// Threading contract: each fault targets one shard, and FaultInjector state
+// for a fault is only read/written by the worker that owns that shard
+// (respawns are sequential: the watchdog joins the dead thread before
 // starting its replacement). Fired-event totals are atomics so the control
 // plane can read them from any thread.
 #pragma once
@@ -24,17 +26,18 @@
 
 namespace coco::ovs {
 
-// Consumer stall: once queue `queue`'s consumer has drained `after_packets`
-// packets, it sleeps for `duration_ms` before touching the ring again — a
-// descheduled / GC-paused / IO-blocked measurement process.
+// Worker stall: once `after_packets` records have been applied to shard
+// `queue`, its owning worker sleeps for `duration_ms` before touching any
+// ring again — a descheduled / GC-paused / IO-blocked measurement process.
 struct StallFault {
   size_t queue = 0;
   uint64_t after_packets = 0;
   uint32_t duration_ms = 0;
 };
 
-// Consumer death: the measurement thread exits without draining its ring or
-// flushing its sketch — a crashed measurement process. Recovery is the
+// Worker death: once `after_packets` records have been applied to shard
+// `queue`, the worker that owns it exits without draining its rings — a
+// crashed measurement process, whose sketch state is lost. Recovery is the
 // watchdog's job.
 struct KillFault {
   size_t queue = 0;
@@ -79,8 +82,8 @@ struct FaultPlan {
 
 // Runtime for a FaultPlan: answers "does a fault fire now?" from the hot
 // loop. Each fault fires at most once. Fired flags live in per-fault bytes
-// (not vector<bool> bits) so consumers of different queues never write the
-// same byte.
+// (not vector<bool> bits) so workers owning different shards never write
+// the same byte.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan)
@@ -90,8 +93,8 @@ class FaultInjector {
         corrupt_fired_(plan.corruptions.size(), 0),
         frame_fired_(plan.frames.size(), 0) {}
 
-  // Called by queue `queue`'s consumer with its drain progress; returns the
-  // stall to serve now in milliseconds (0 = none).
+  // Called by the owner of shard `queue` with the shard's progress; returns
+  // the stall to serve now in milliseconds (0 = none).
   uint32_t StallMs(size_t queue, uint64_t processed) {
     for (size_t i = 0; i < plan_.stalls.size(); ++i) {
       const StallFault& f = plan_.stalls[i];
@@ -105,7 +108,7 @@ class FaultInjector {
     return 0;
   }
 
-  // True when queue `queue`'s consumer should die at this batch boundary.
+  // True when the owner of shard `queue` should die at this batch boundary.
   bool ShouldKill(size_t queue, uint64_t processed) {
     for (size_t i = 0; i < plan_.kills.size(); ++i) {
       const KillFault& f = plan_.kills[i];

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -14,6 +16,8 @@
 #include "core/cocosketch.h"
 #include "core/merge.h"
 #include "core/sampled_cocosketch.h"
+#include "core/seed_rotation.h"
+#include "obs/sketch_metrics.h"
 #include "ovs/degrade.h"
 #include "ovs/epoch.h"
 #include "ovs/watchdog.h"
@@ -28,50 +32,218 @@ using Sketch = core::CocoSketch<FiveTuple>;
 // quiescent sweep.
 constexpr uint64_t kShardRetired = UINT64_MAX;
 
+// Worker lifecycle, advanced by the worker itself and observed by the
+// watchdog and the main thread. kExited means an injected kill took the
+// worker down and it needs a respawn; kDone means it finished for good.
+constexpr int kRunning = 0;
+constexpr int kExited = 1;
+constexpr int kDone = 2;
+
+// Sketch-update time is read on every kTimedBatchStride-th batch of a shard
+// and scaled up: two cycle-counter reads on every batch cost the uncapped
+// datapath ~5% of its rate on a 4-vCPU KVM host.
+constexpr uint64_t kTimedBatchStride = 8;
+
 // Per-shard registry handles, resolved before the threads start (the
-// registry lock never appears on a hot path). Null when uninstrumented.
+// registry lock never appears on a hot path). All null when uninstrumented;
+// every use is pointer-guarded.
 struct ShardMetrics {
   obs::Counter* offered = nullptr;
   obs::Counter* exact = nullptr;
   obs::Counter* degraded = nullptr;
   obs::Counter* rx_dropped = nullptr;
+  obs::Counter* degrade_enter = nullptr;
+  obs::Counter* degrade_exit = nullptr;
   obs::Counter* steal_events = nullptr;    // steals INTO this shard
   obs::Counter* stolen_records = nullptr;  // records re-steered to this shard
+  obs::Counter* stalls_detected = nullptr;
+  obs::Counter* restores = nullptr;
+  obs::Counter* checkpoints = nullptr;
+  obs::Counter* checkpoint_bytes = nullptr;
+  obs::Counter* checkpoints_rejected = nullptr;
+  obs::Counter* attack_suspicious = nullptr;
+  obs::Counter* attack_collision = nullptr;
+  obs::Counter* attack_churn_flood = nullptr;
+  obs::Counter* seed_rotations = nullptr;
+  obs::Counter* attack_degrade_forced = nullptr;
+  obs::Histogram* batch_fill = nullptr;
+  obs::Histogram* drain_cycles = nullptr;
   obs::Gauge* occupancy = nullptr;
   obs::Gauge* epoch = nullptr;
+  std::string base;  // "<prefix>.q<s>", empty when uninstrumented
 };
 
 ShardMetrics ResolveShardMetrics(obs::Registry* registry,
                                  const std::string& prefix, size_t s) {
   ShardMetrics m;
   if (registry == nullptr) return m;
-  const std::string base = prefix + ".q" + std::to_string(s) + ".";
-  m.offered = registry->GetCounter(base + "offered");
-  m.exact = registry->GetCounter(base + "exact");
-  m.degraded = registry->GetCounter(base + "degraded");
-  m.rx_dropped = registry->GetCounter(base + "rx_dropped");
-  m.steal_events = registry->GetCounter(base + "steal_events");
-  m.stolen_records = registry->GetCounter(base + "stolen_records");
-  m.occupancy = registry->GetGauge(base + "occupancy");
-  m.epoch = registry->GetGauge(base + "epoch");
+  m.base = prefix + ".q" + std::to_string(s);
+  const auto counter = [&](const char* leaf) {
+    return registry->GetCounter(m.base + "." + leaf);
+  };
+  m.offered = counter("offered");
+  m.exact = counter("exact");
+  m.degraded = counter("degraded");
+  m.rx_dropped = counter("rx_dropped");
+  m.degrade_enter = counter("degrade_enter");
+  m.degrade_exit = counter("degrade_exit");
+  m.steal_events = counter("steal_events");
+  m.stolen_records = counter("stolen_records");
+  m.stalls_detected = counter("stalls_detected");
+  m.restores = counter("restores");
+  m.checkpoints = counter("checkpoints");
+  m.checkpoint_bytes = counter("checkpoint_bytes");
+  m.checkpoints_rejected = counter("checkpoints_rejected");
+  m.attack_suspicious = counter("attack_suspicious");
+  m.attack_collision = counter("attack_collision");
+  m.attack_churn_flood = counter("attack_churn_flood");
+  m.seed_rotations = counter("seed_rotations");
+  m.attack_degrade_forced = counter("attack_degrade_forced");
+  m.batch_fill = registry->GetHistogram(m.base + ".batch_fill");
+  m.drain_cycles = registry->GetHistogram(m.base + ".drain_cycles");
+  m.occupancy = registry->GetGauge(m.base + ".occupancy");
+  m.epoch = registry->GetGauge(m.base + ".epoch");
   return m;
 }
 
-// Merge the given shard sketches into a fresh per-shard-geometry snapshot
-// and fold its decode into `table`. Returns the fold's conflict count.
+void Bump(obs::Counter* counter, uint64_t n = 1) {
+  if (counter != nullptr) counter->Add(n);
+}
+
+// Everything one shard owns. Not movable (atomics, mutexes), so RunScaleout
+// holds shards behind unique_ptr. The writer-owned fields are touched only
+// by the worker that owns the shard; a respawned worker inherits them after
+// the watchdog has joined the dead one.
+struct Shard {
+  Shard(const ScaleoutConfig& c, size_t memory_bytes, size_t s,
+        ShardMetrics metrics)
+      : ring(c.ring_capacity),
+        sketches(memory_bytes, c.d, c.seed),
+        m(std::move(metrics)),
+        seed(c.seed),
+        ladder(c.degrade_high_watermark, c.degrade_low_watermark,
+               c.ring_capacity),
+        monitor(c.attack_options) {
+    if (c.degrade_enabled) {
+      gate.emplace(c.degrade_sample_prob,
+                   c.seed ^ (0xdeadbeefULL + s * 0x9e3779b9ULL));
+    }
+  }
+
+  SpscRing<Packet> ring;
+  EpochShard<FiveTuple> sketches;
+  ShardMetrics m;
+  std::atomic<bool> producer_done{false};
+  std::atomic<uint64_t> progress{0};  // records applied to this shard
+  // Last epoch this shard published (kShardRetired once its worker exits).
+  std::atomic<uint64_t> epoch_done{0};
+  // Writer-exclusion probe: 0 = free, w+1 = worker w inside an apply
+  // section. A failed claim means two workers raced one sketch — the
+  // single-writer invariant the steal path must preserve.
+  std::atomic<uint32_t> writer{0};
+
+  // ---- writer-owned ----
+  uint64_t seed;              // current hash seed; moves on seed rotation
+  uint64_t cur_epoch = 0;
+  uint64_t epoch_weight = 0;  // weight applied to the active sketch
+  uint64_t epoch_start = 0;   // progress when the active epoch began
+  CheckpointStore checkpoints;  // images of the active epoch only
+  uint64_t checkpoint_seq = 0;  // never reset: fault plans address it
+  uint64_t last_checkpoint = 0;
+  DegradeLadder ladder;
+  std::optional<core::SamplingGate> gate;
+  bool degraded = false;  // effective mode of the last batch
+  core::AttackMonitor monitor;
+  uint64_t last_window = 0;
+  bool attack_degrade = false;  // ladder forced on (last-resort response)
+  uint64_t honest_streak = 0;   // consecutive honest windows while forced
+  uint64_t batches = 0;
+  uint64_t update_cycles = 0;  // scaled up from the timed batches
+  uint64_t steal_events = 0;
+  uint64_t stolen_records = 0;
+  uint64_t epoch_rotations = 0;
+  uint64_t rotation_refusals = 0;
+  // The counters kept for this shard: by its writer, except
+  // stalls_detected, which only the watchdog writes.
+  DatapathHealth health;
+};
+
+// Folds `sources` into `table`, one MergeAll per hash seed in order of first
+// appearance: shards that share a seed merge position-wise as one sketch,
+// and a shard rotated onto a fresh seed is decoded on its own. With every
+// source on one seed this is a single fold through `rng`. Returns the
+// folds' conflict count and the number of seeds via `seeds`.
 uint64_t FoldEpochSketches(const std::vector<const Sketch*>& sources,
-                           size_t per_shard_memory, size_t d, uint64_t seed,
-                           Rng* rng,
-                           std::unordered_map<FiveTuple, uint64_t>* table) {
-  if (sources.empty()) return 0;
-  Sketch snapshot(per_shard_memory, d, seed);
-  const core::MergeStats stats = core::MergeAll(&snapshot, sources, rng);
-  COCO_CHECK(stats.ok, "epoch publication merged incompatible shards");
-  for (const auto& [key, value] : snapshot.Decode()) (*table)[key] += value;
-  return stats.conflicts;
+                           size_t per_shard_memory, size_t d, Rng* rng,
+                           std::unordered_map<FiveTuple, uint64_t>* table,
+                           size_t* seeds) {
+  uint64_t conflicts = 0;
+  std::vector<bool> folded(sources.size(), false);
+  for (size_t i = 0; i < sources.size(); ++i) {
+    if (folded[i]) continue;
+    const uint64_t seed = sources[i]->seed();
+    std::vector<const Sketch*> group;
+    for (size_t j = i; j < sources.size(); ++j) {
+      if (!folded[j] && sources[j]->seed() == seed) {
+        group.push_back(sources[j]);
+        folded[j] = true;
+      }
+    }
+    Sketch snapshot(per_shard_memory, d, seed);
+    const core::MergeStats stats = core::MergeAll(&snapshot, group, rng);
+    COCO_CHECK(stats.ok, "epoch publication merged incompatible shards");
+    for (const auto& [key, value] : snapshot.Decode()) (*table)[key] += value;
+    conflicts += stats.conflicts;
+    ++*seeds;
+  }
+  return conflicts;
+}
+
+void AddHealth(const DatapathHealth& from, DatapathHealth* to) {
+  to->packets_exact += from.packets_exact;
+  to->packets_degraded += from.packets_degraded;
+  to->stalls_detected += from.stalls_detected;
+  to->checkpoints_taken += from.checkpoints_taken;
+  to->checkpoints_rejected += from.checkpoints_rejected;
+  to->restores += from.restores;
+  to->packets_lost_estimate += from.packets_lost_estimate;
+  to->attack_windows_suspicious += from.attack_windows_suspicious;
+  to->collision_attacks_confirmed += from.collision_attacks_confirmed;
+  to->churn_floods_confirmed += from.churn_floods_confirmed;
+  to->seed_rotations += from.seed_rotations;
+  to->attack_degrade_forced += from.attack_degrade_forced;
+  to->rotation_mass_conserved &= from.rotation_mass_conserved;
 }
 
 }  // namespace
+
+ConservationView ReadConservation(obs::Registry* registry,
+                                  const std::string& prefix) {
+  COCO_CHECK(registry != nullptr, "conservation check needs a registry");
+  const std::string stem = prefix + ".q";
+  ConservationView view;
+  registry->ForEachCounter([&](std::string_view name, const obs::Counter& c) {
+    if (name.substr(0, stem.size()) != stem) return;
+    // Expect `<stem><digits>.<leaf>`.
+    std::string_view rest = name.substr(stem.size());
+    size_t digits = 0;
+    while (digits < rest.size() && rest[digits] >= '0' && rest[digits] <= '9') {
+      ++digits;
+    }
+    if (digits == 0 || digits >= rest.size() || rest[digits] != '.') return;
+    const std::string_view leaf = rest.substr(digits + 1);
+    if (leaf == "offered") {
+      view.offered += c.Value();
+    } else if (leaf == "exact") {
+      view.exact += c.Value();
+    } else if (leaf == "degraded") {
+      view.degraded += c.Value();
+    } else if (leaf == "rx_dropped") {
+      view.rx_dropped += c.Value();
+    }
+  });
+  return view;
+}
 
 ScaleoutResult RunScaleout(const ScaleoutConfig& config,
                            const std::vector<Packet>& trace) {
@@ -81,6 +253,10 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
              "scale-out needs 1 <= workers <= shards");
   const size_t drain_batch = config.drain_batch < 1 ? 1 : config.drain_batch;
   const size_t per_shard_memory = config.sketch_memory_bytes / S;
+  const bool checkpointing =
+      config.with_sketch && config.checkpoint_interval != 0;
+  const bool attack_detection =
+      config.with_sketch && config.attack_window_packets != 0;
 
   ScaleoutResult result;
   result.topology =
@@ -88,7 +264,7 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   const ShardTopology& topo = result.topology;
 
   // RSS stage: pre-steer the trace into per-shard producer lists, so the
-  // producer threads only pace and push (matching DatapathSim's pre-stripe).
+  // producer threads only pace and push.
   uint64_t steer_seed = config.steering_seed;
   if (steer_seed == 0) {
     uint64_t mix = config.seed;
@@ -99,57 +275,34 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   for (auto& v : striped) v.reserve(trace.size() / S + 1);
   for (const Packet& p : trace) striped[steering.Shard(p.key)].push_back(p);
 
-  std::vector<std::unique_ptr<SpscRing<Packet>>> rings;
-  rings.reserve(S);
-  for (size_t s = 0; s < S; ++s) {
-    rings.push_back(std::make_unique<SpscRing<Packet>>(config.ring_capacity));
-  }
-
-  // Triple-buffered per-shard sketch pairs; one shared hash seed so epoch
+  // Triple-buffered per-shard sketches on one shared hash seed, so epoch
   // publication can merge sketch-level.
-  std::vector<std::unique_ptr<EpochShard<FiveTuple>>> shards;
+  std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(S);
   for (size_t s = 0; s < S; ++s) {
-    shards.push_back(std::make_unique<EpochShard<FiveTuple>>(
-        per_shard_memory, config.d, config.seed));
+    shards.push_back(std::make_unique<Shard>(
+        config, per_shard_memory, s,
+        ResolveShardMetrics(config.registry, config.metrics_prefix, s)));
   }
 
-  std::vector<ShardMetrics> metrics;
-  metrics.reserve(S);
-  for (size_t s = 0; s < S; ++s) {
-    metrics.push_back(
-        ResolveShardMetrics(config.registry, config.metrics_prefix, s));
-  }
+  struct Worker {
+    std::atomic<int> status{kRunning};
+    std::mutex thread_mu;  // guards `thread` handle swaps
+    std::thread thread;
+  };
+  std::vector<std::unique_ptr<Worker>> workers;
+  workers.reserve(W);
+  for (size_t w = 0; w < W; ++w) workers.push_back(std::make_unique<Worker>());
 
-  // Shared run state.
+  FaultInjector injector(config.faults);
+  const bool have_faults = !config.faults.Empty();
+  uint64_t watchdog_ms = config.watchdog_timeout_ms;
+  if (watchdog_ms == 0 && !config.faults.kills.empty()) watchdog_ms = 200;
+
   std::atomic<uint64_t> issued{0};  // NIC token accounting (rate-capped mode)
-  std::vector<std::atomic<bool>> producer_done(S);
-  for (auto& f : producer_done) f.store(false);
-  std::vector<std::atomic<bool>> worker_done(W);
-  for (auto& f : worker_done) f.store(false);
-  std::vector<std::atomic<uint64_t>> worker_progress(W);
-  for (auto& p : worker_progress) p.store(0);
-  // Writer-exclusion probe: 0 = free, w+1 = worker w inside an apply
-  // section. A failed claim means two workers raced one sketch — the
-  // single-writer invariant the steal path must preserve.
-  std::vector<std::atomic<uint32_t>> sketch_writer(S);
-  for (auto& f : sketch_writer) f.store(0);
-  // Last epoch each shard published (kShardRetired once its worker exits).
-  std::vector<std::atomic<uint64_t>> epoch_done(S);
-  for (auto& e : epoch_done) e.store(0);
-  // Residual per-epoch weight in each shard's active sketch at worker exit;
-  // written by the owner before worker_done flips, read after join.
-  std::vector<uint64_t> final_epoch_weight(S, 0);
-
   std::atomic<uint64_t> requested_epoch{0};
   std::atomic<uint64_t> drained_total{0};
-  std::atomic<uint64_t> total_exact{0};
-  std::atomic<uint64_t> total_degraded{0};
-  std::atomic<uint64_t> steal_events{0};
-  std::atomic<uint64_t> stolen_records{0};
-  std::atomic<uint64_t> rotations{0};
-  std::atomic<uint64_t> rotation_refusals{0};
-  std::atomic<uint64_t> stalls_detected{0};
+  std::atomic<uint64_t> busy_cycles{0};
   std::atomic<bool> single_writer_violated{false};
 
   // Start gate: no producer or worker proceeds until every thread has been
@@ -164,7 +317,10 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   const bool drop_mode = config.overflow == OverflowPolicy::kDropNewest;
 
   // ---- Producers: one per shard ring (single-producer invariant), pacing
-  // against the shared NIC token bucket when a rate cap is set. ----
+  // against the shared NIC token bucket when a rate cap is set. The NIC
+  // delivers in bursts of drain_batch records, like a DPDK rx burst: one
+  // token claim and one clock read per burst, so the producers themselves
+  // never become the cap. ----
   std::vector<std::thread> producers;
   producers.reserve(S);
   for (size_t s = 0; s < S; ++s) {
@@ -172,122 +328,260 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
       while (!start_gate.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
-      const ShardMetrics& sm = metrics[s];
-      for (const Packet& rec : striped[s]) {
+      Shard& sh = *shards[s];
+      const std::vector<Packet>& mine = striped[s];
+      for (size_t begin = 0; begin < mine.size(); begin += drain_batch) {
+        const size_t end = std::min(mine.size(), begin + drain_batch);
         if (rate_pps > 0) {
-          const uint64_t my_slot =
-              issued.fetch_add(1, std::memory_order_relaxed);
-          while (static_cast<double>(my_slot) >=
+          // Wait until the NIC would have delivered the burst's last record.
+          const uint64_t last =
+              issued.fetch_add(end - begin, std::memory_order_relaxed) +
+              (end - begin) - 1;
+          while (static_cast<double>(last) >=
                  wall.ElapsedSeconds() * rate_pps) {
             std::this_thread::yield();
           }
         }
-        if (sm.offered) sm.offered->Add(1);
-        if (drop_mode) {
-          if (!rings[s]->PushOrDrop(rec) && sm.rx_dropped) {
-            sm.rx_dropped->Add(1);
+        for (size_t i = begin; i < end; ++i) {
+          // Offered before the record can surface anywhere else (ring, drop
+          // counter), so the live registry view never over-accounts.
+          Bump(sh.m.offered);
+          if (drop_mode) {
+            if (!sh.ring.PushOrDrop(mine[i])) Bump(sh.m.rx_dropped);
+          } else {
+            while (!sh.ring.TryPush(mine[i])) std::this_thread::yield();
           }
-        } else {
-          while (!rings[s]->TryPush(rec)) std::this_thread::yield();
         }
       }
-      producer_done[s].store(true, std::memory_order_release);
+      sh.producer_done.store(true, std::memory_order_release);
     });
   }
 
-  // ---- Workers ----
-  const auto worker_fn = [&](size_t w) {
+  // ---- Workers. `respawned` is the crash-recovery entry: the replacement
+  // for a killed worker first rebuilds every owned shard's sketch from its
+  // newest checkpoint that passes validation. ----
+  const auto worker_fn = [&](size_t w, bool respawned) {
     while (!start_gate.load(std::memory_order_acquire)) {
       std::this_thread::yield();
     }
     const std::vector<size_t>& owned = topo.worker_shards[w];
     const size_t home = owned[0];  // steal target: re-steered records go here
-
-    // Per-owned-shard consumer state (ladder, gate, epoch accounting).
-    struct ShardCtx {
-      DegradeLadder ladder;
-      std::optional<core::SamplingGate> gate;
-      uint64_t epoch_weight = 0;  // weight applied this epoch
-      uint64_t cur_epoch = 0;
-    };
-    std::vector<ShardCtx> ctx;
-    ctx.reserve(owned.size());
-    for (size_t i = 0; i < owned.size(); ++i) {
-      ctx.push_back({DegradeLadder(config.degrade_high_watermark,
-                                   config.degrade_low_watermark,
-                                   rings[owned[i]]->capacity()),
-                     std::nullopt, 0, 0});
-      if (config.degrade_enabled) {
-        ctx.back().gate.emplace(
-            config.degrade_sample_prob,
-            config.seed ^ (0xdeadbeefULL + owned[i] * 0x9e3779b9ULL));
-      }
-    }
-    uint64_t local_exact = 0;
-    uint64_t local_degraded = 0;
-    uint64_t local_steals = 0;
-    uint64_t local_stolen = 0;
-    uint64_t local_rotations = 0;
-    uint64_t local_refusals = 0;
-    uint64_t local_progress = 0;
-    uint64_t idle_streak = 0;
+    const uint64_t thread_begin = ReadCycleCounter();
     std::vector<Packet> batch(drain_batch);
 
-    // Apply a batch into shard `s`'s active sketch, guarded by the
-    // writer-exclusion probe. Returns the weight actually applied (exact
-    // mode: the batch's weight sum; degraded: compensated admitted weight).
-    const auto apply = [&](size_t s, size_t n, bool degraded_mode,
-                           core::SamplingGate* gate) -> uint64_t {
+    const auto take_checkpoint = [&](size_t s) {
+      Shard& sh = *shards[s];
+      auto image = sh.sketches.active()->SerializeState();
+      const uint64_t seq = ++sh.checkpoint_seq;
+      injector.MaybeCorrupt(s, seq, &image);
+      const size_t image_bytes = image.size();
+      const uint64_t progress = sh.progress.load(std::memory_order_relaxed);
+      sh.checkpoints.Put(seq, progress, std::move(image));
+      ++sh.health.checkpoints_taken;
+      Bump(sh.m.checkpoints);
+      Bump(sh.m.checkpoint_bytes, image_bytes);
+      sh.last_checkpoint = progress;
+    };
+
+    // The dead worker's sketch state died with it (in the real topology the
+    // measurement process is gone): restore the newest valid image of the
+    // active epoch, else start the epoch empty. Records applied after the
+    // restored image was taken are the loss reported to the control plane.
+    const auto restore = [&](size_t s) {
+      Shard& sh = *shards[s];
+      ++sh.health.restores;
+      Bump(sh.m.restores);
+      if (!config.with_sketch) return;
+      Sketch* sk = sh.sketches.active();
+      const uint64_t progress = sh.progress.load(std::memory_order_relaxed);
+      bool restored = false;
+      for (const auto& image : sh.checkpoints.Candidates()) {
+        if (sk->RestoreState(image.bytes)) {
+          sh.health.packets_lost_estimate += progress - image.progress;
+          restored = true;
+          break;
+        }
+        ++sh.health.checkpoints_rejected;
+        Bump(sh.m.checkpoints_rejected);
+      }
+      if (!restored) {
+        sk->Clear();
+        sh.health.packets_lost_estimate += progress - sh.epoch_start;
+      }
+      sh.epoch_weight = sk->TotalValue();
+      sh.monitor.Reset(sk->Stats());
+    };
+
+    // Last-resort escalation shared by both attack classes: force the
+    // degradation ladder on (if the operator enabled it at all). Lifts after
+    // sustained honest windows — see the kHonest branch below.
+    const auto force_degrade = [&](Shard& sh) {
+      if (!config.degrade_enabled || sh.attack_degrade) return;
+      sh.attack_degrade = true;
+      sh.honest_streak = 0;
+      ++sh.health.attack_degrade_forced;
+      Bump(sh.m.attack_degrade_forced);
+    };
+
+    // Attack detection runs at window boundaries on the shard's writer, so
+    // a seed rotation swaps the active sketch with no reader racing it.
+    const auto observe_attack_window = [&](size_t s) {
+      Shard& sh = *shards[s];
+      Sketch* sk = sh.sketches.active();
+      sh.last_window = sh.progress.load(std::memory_order_relaxed);
+      const core::AttackMonitor::Verdict verdict =
+          sh.monitor.ObserveWindow(sk->Stats());
+      if (!sh.m.base.empty()) {
+        obs::PublishAttackSignals(config.registry, sh.m.base + ".attack",
+                                  sh.monitor);
+      }
+      switch (verdict) {
+        case core::AttackMonitor::Verdict::kHonest:
+          if (sh.attack_degrade &&
+              ++sh.honest_streak >=
+                  2 * static_cast<uint64_t>(
+                          sh.monitor.options().confirm_windows)) {
+            sh.attack_degrade = false;
+            sh.honest_streak = 0;
+          }
+          break;
+        case core::AttackMonitor::Verdict::kSuspicious:
+          sh.honest_streak = 0;
+          ++sh.health.attack_windows_suspicious;
+          Bump(sh.m.attack_suspicious);
+          break;
+        case core::AttackMonitor::Verdict::kCollisionConfirmed: {
+          sh.honest_streak = 0;
+          ++sh.health.collision_attacks_confirmed;
+          Bump(sh.m.attack_collision);
+          if (!config.rotate_on_attack) {
+            // Rotation disabled by the operator: degradation is the only
+            // remedy left on the ladder.
+            force_degrade(sh);
+            break;
+          }
+          const uint64_t rotation = sh.health.seed_rotations++;
+          if (rotation > 0) {
+            // The attacker re-learned a rotated seed (adaptive white-box);
+            // rotating alone is not holding, so also engage the ladder.
+            force_degrade(sh);
+          }
+          uint64_t mix = config.rotation_seed ^
+                         (static_cast<uint64_t>(s) << 32) ^ (rotation + 1);
+          sh.seed = config.rotation_seed != 0 ? SplitMix64(mix) : RandomSeed();
+          if (!core::RotateSeed(sk, sh.seed).mass_conserved) {
+            sh.health.rotation_mass_conserved = false;
+          }
+          Bump(sh.m.seed_rotations);
+          // The sketch under the counters just changed wholesale; judge the
+          // next window against the fresh baseline, and checkpoint the new
+          // seed at once so a crash right after rotation restores it.
+          sh.monitor.Reset(sk->Stats());
+          if (checkpointing) take_checkpoint(s);
+          break;
+        }
+        case core::AttackMonitor::Verdict::kChurnFloodConfirmed:
+          // Seed-independent flood: rotation would not help, degrade does.
+          sh.honest_streak = 0;
+          ++sh.health.churn_floods_confirmed;
+          Bump(sh.m.attack_churn_flood);
+          force_degrade(sh);
+          break;
+      }
+    };
+
+    // Applies batch[0, n) to shard `s`'s active sketch, guarded by the
+    // writer-exclusion probe, then runs the per-batch bookkeeping:
+    // checkpoints, attack windows and injected faults fire at batch
+    // boundaries (deterministic in applied records, not wall time). Returns
+    // true when an injected kill takes this worker down.
+    const auto apply = [&](size_t s, size_t n, bool degraded_mode) -> bool {
+      Shard& sh = *shards[s];
       uint32_t expected = 0;
-      const bool claimed = sketch_writer[s].compare_exchange_strong(
+      const bool claimed = sh.writer.compare_exchange_strong(
           expected, static_cast<uint32_t>(w) + 1, std::memory_order_acq_rel,
           std::memory_order_relaxed);
       if (!claimed) {
         single_writer_violated.store(true, std::memory_order_relaxed);
       }
-      Sketch* sk = shards[s]->active();
-      uint64_t applied = 0;
-      if (degraded_mode) {
-        for (size_t i = 0; i < n; ++i) {
-          if (gate->Admit()) {
-            const uint32_t cw = gate->CompensatedWeight(batch[i].weight);
-            sk->Update(batch[i].key, cw);
-            applied += cw;
+      const bool timed =
+          config.with_sketch && sh.batches % kTimedBatchStride == 0;
+      const uint64_t t0 = timed ? ReadCycleCounter() : 0;
+      if (config.with_sketch) {
+        Sketch* sk = sh.sketches.active();
+        if (degraded_mode) {
+          for (size_t i = 0; i < n; ++i) {
+            if (sh.gate->Admit()) {
+              const uint32_t cw = sh.gate->CompensatedWeight(batch[i].weight);
+              sk->Update(batch[i].key, cw);
+              sh.epoch_weight += cw;
+            }
           }
+        } else {
+          sk->UpdateBatch(batch.data(), n);
+          for (size_t i = 0; i < n; ++i) sh.epoch_weight += batch[i].weight;
         }
-      } else {
-        sk->UpdateBatch(batch.data(), n);
-        for (size_t i = 0; i < n; ++i) applied += batch[i].weight;
       }
-      if (claimed) sketch_writer[s].store(0, std::memory_order_release);
-      return applied;
+      const uint64_t cycles = timed ? ReadCycleCounter() - t0 : 0;
+      if (claimed) sh.writer.store(0, std::memory_order_release);
+
+      (degraded_mode ? sh.health.packets_degraded : sh.health.packets_exact) +=
+          n;
+      ++sh.batches;
+      sh.update_cycles += cycles * kTimedBatchStride;
+      const uint64_t progress =
+          sh.progress.load(std::memory_order_relaxed) + n;
+      sh.progress.store(progress, std::memory_order_relaxed);
+      if (sh.m.exact) {
+        (degraded_mode ? sh.m.degraded : sh.m.exact)->Add(n);
+        sh.m.batch_fill->Observe(n);
+        if (timed) sh.m.drain_cycles->Observe(cycles);
+      }
+      if (checkpointing &&
+          progress - sh.last_checkpoint >= config.checkpoint_interval) {
+        take_checkpoint(s);
+      }
+      if (attack_detection &&
+          progress - sh.last_window >= config.attack_window_packets) {
+        observe_attack_window(s);
+      }
+      if (!have_faults) return false;
+      if (const uint32_t ms = injector.StallMs(s, progress)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+      }
+      return injector.ShouldKill(s, progress);
     };
+
+    bool killed = false;
 
     // Drain up to `rounds` batches from owned shard `s`. The consumer token
     // guards only the POP (the ring's consumer cursor) and is released
     // before the sketch apply: the apply is the expensive part, and holding
     // the token across it would leave a preempted owner blocking every
     // steal attempt for its whole descheduled stretch.
-    const auto drain_shard = [&](size_t i, size_t rounds) -> size_t {
-      const size_t s = owned[i];
+    const auto drain_shard = [&](size_t s, size_t rounds) -> size_t {
+      Shard& sh = *shards[s];
       size_t drained = 0;
-      for (size_t r = 0; r < rounds; ++r) {
+      for (size_t r = 0; r < rounds && !killed; ++r) {
+        // Occupancy is sampled before the pop so the ladder sees the
+        // backlog this batch was drained from.
         const size_t occupancy =
-            config.degrade_enabled ? rings[s]->SizeApprox() : 0;
-        if (!rings[s]->TryAcquireConsumer()) break;  // thief mid-pop: skip
-        const size_t n = rings[s]->PopBatch(batch.data(), drain_batch);
-        rings[s]->ReleaseConsumer();
+            config.degrade_enabled ? sh.ring.SizeApprox() : 0;
+        if (!sh.ring.TryAcquireConsumer()) break;  // thief mid-pop: skip
+        const size_t n = sh.ring.PopBatch(batch.data(), drain_batch);
+        sh.ring.ReleaseConsumer();
         if (n == 0) break;
+        // The ladder observes occupancy even while the attack response
+        // holds the mode degraded, so its own hysteresis state stays
+        // current.
         const bool degraded_mode =
-            config.degrade_enabled && ctx[i].ladder.OnOccupancy(occupancy);
-        const uint64_t applied = apply(
-            s, n, degraded_mode,
-            ctx[i].gate.has_value() ? &*ctx[i].gate : nullptr);
-        ctx[i].epoch_weight += applied;
-        (degraded_mode ? local_degraded : local_exact) += n;
-        if (metrics[s].exact) {
-          (degraded_mode ? metrics[s].degraded : metrics[s].exact)->Add(n);
+            (config.degrade_enabled && sh.ladder.OnOccupancy(occupancy)) ||
+            sh.attack_degrade;
+        if (degraded_mode != sh.degraded) {
+          sh.degraded = degraded_mode;
+          Bump(degraded_mode ? sh.m.degrade_enter : sh.m.degrade_exit);
         }
+        killed = apply(s, n, degraded_mode);
         drained += n;
       }
       return drained;
@@ -304,81 +598,92 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
       size_t best_occ = steal_floor - 1;
       for (size_t s = 0; s < S; ++s) {
         if (topo.shard_owner[s] == w) continue;
-        const size_t occ = rings[s]->SizeApprox();
+        const size_t occ = shards[s]->ring.SizeApprox();
         if (occ > best_occ) {
           victim = s;
           best_occ = occ;
         }
       }
       if (victim == S) return 0;
+      SpscRing<Packet>& ring = shards[victim]->ring;
       size_t stolen = 0;
-      for (size_t b = 0; b < config.steal_batches; ++b) {
+      for (size_t b = 0; b < config.steal_batches && !killed; ++b) {
         // Token per batch, covering only the pop — the owner can reclaim
         // its ring between the thief's batches.
-        if (!rings[victim]->TryAcquireConsumer()) break;
-        const size_t n = rings[victim]->PopBatch(batch.data(), drain_batch);
-        rings[victim]->ReleaseConsumer();
+        if (!ring.TryAcquireConsumer()) break;
+        const size_t n = ring.PopBatch(batch.data(), drain_batch);
+        ring.ReleaseConsumer();
         if (n == 0) break;
         // Stolen work is applied at full fidelity into the thief's own
-        // shard (ctx[0] == home): single-writer holds, and the victim's
-        // backlog (the thing the ladder keys off) shrinks.
-        ctx[0].epoch_weight += apply(home, n, false, nullptr);
-        local_exact += n;
-        if (metrics[home].exact) metrics[home].exact->Add(n);
+        // shard: single-writer holds, and the victim's backlog (the thing
+        // the ladder keys off) shrinks.
+        killed = apply(home, n, false);
         stolen += n;
       }
       if (stolen > 0) {
-        ++local_steals;
-        local_stolen += stolen;
-        if (metrics[home].steal_events) {
-          metrics[home].steal_events->Add(1);
-          metrics[home].stolen_records->Add(stolen);
-        }
+        Shard& sh = *shards[home];
+        ++sh.steal_events;
+        sh.stolen_records += stolen;
+        Bump(sh.m.steal_events);
+        Bump(sh.m.stolen_records, stolen);
       }
       return stolen;
     };
 
+    if (respawned) {
+      for (const size_t s : owned) restore(s);
+    }
+
     // Occupancy snapshot buffer for proportional polling.
     std::vector<std::pair<size_t, size_t>> occ_order(owned.size());
+    uint64_t idle_streak = 0;
 
-    for (;;) {
+    while (!killed) {
       // Proportional polling: fullest owned ring first, drain budget
       // proportional to its backlog (1..4 batches), at least one attempt
       // per ring per cycle so no owned shard starves.
       for (size_t i = 0; i < owned.size(); ++i) {
-        occ_order[i] = {rings[owned[i]]->SizeApprox(), i};
+        occ_order[i] = {shards[owned[i]]->ring.SizeApprox(), owned[i]};
       }
       std::sort(occ_order.begin(), occ_order.end(),
                 [](const auto& a, const auto& b) { return a.first > b.first; });
       size_t drained = 0;
-      for (const auto& [occ, i] : occ_order) {
+      for (const auto& [occ, s] : occ_order) {
         const size_t rounds = 1 + std::min<size_t>(3, occ / drain_batch);
-        drained += drain_shard(i, rounds);
-        if (metrics[owned[i]].occupancy) {
-          metrics[owned[i]].occupancy->Set(
-              static_cast<double>(rings[owned[i]]->SizeApprox()));
+        drained += drain_shard(s, rounds);
+        if (shards[s]->m.occupancy) {
+          shards[s]->m.occupancy->Set(
+              static_cast<double>(shards[s]->ring.SizeApprox()));
         }
       }
 
       // Rotation check, once per polling cycle (== at a batch boundary).
+      // A swap starts the shard's next epoch: its checkpoints belong to the
+      // epoch the collector now owns, so the store starts fresh, and a
+      // spare built before a seed rotation is rebuilt on the shard's seed.
       const uint64_t req = requested_epoch.load(std::memory_order_acquire);
-      for (size_t i = 0; i < owned.size(); ++i) {
-        if (ctx[i].cur_epoch >= req) continue;
-        const size_t s = owned[i];
-        if (shards[s]->TryRotate(req, ctx[i].epoch_weight)) {
-          ctx[i].epoch_weight = 0;
-          ctx[i].cur_epoch = req;
-          ++local_rotations;
-          epoch_done[s].store(req, std::memory_order_release);
-          if (metrics[s].epoch) {
-            metrics[s].epoch->Set(static_cast<double>(req));
-          }
-        } else {
-          ++local_refusals;
+      for (const size_t s : owned) {
+        Shard& sh = *shards[s];
+        if (killed || sh.cur_epoch >= req) continue;
+        if (!sh.sketches.TryRotate(req, sh.epoch_weight)) {
+          ++sh.rotation_refusals;
+          continue;
         }
+        sh.epoch_weight = 0;
+        sh.cur_epoch = req;
+        sh.epoch_start = sh.progress.load(std::memory_order_relaxed);
+        sh.checkpoints.Clear();
+        ++sh.epoch_rotations;
+        Sketch* sk = sh.sketches.active();
+        if (sk->seed() != sh.seed) {
+          *sk = Sketch(per_shard_memory, config.d, sh.seed);
+        }
+        if (attack_detection) sh.monitor.Reset(sk->Stats());
+        sh.epoch_done.store(req, std::memory_order_release);
+        if (sh.m.epoch) sh.m.epoch->Set(static_cast<double>(req));
       }
 
-      if (drained == 0) drained = try_steal();
+      if (drained == 0 && !killed) drained = try_steal();
 
       if (drained == 0) {
         // Exit test. Without stealing a worker answers only for its own
@@ -390,8 +695,8 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
             config.stealing_enabled && config.steal_batches > 0;
         for (size_t s = 0; s < S; ++s) {
           if (!whole_run && topo.shard_owner[s] != w) continue;
-          if (!producer_done[s].load(std::memory_order_acquire) ||
-              rings[s]->SizeApprox() != 0) {
+          if (!shards[s]->producer_done.load(std::memory_order_acquire) ||
+              shards[s]->ring.SizeApprox() != 0) {
             done = false;
             break;
           }
@@ -409,65 +714,65 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
       } else {
         idle_streak = 0;
         drained_total.fetch_add(drained, std::memory_order_relaxed);
-        local_progress += drained;
-        worker_progress[w].store(local_progress, std::memory_order_relaxed);
       }
     }
 
-    // Export residual epoch weights, then retire the owned shards so the
-    // collector stops waiting on them (their mass moves to the final sweep).
-    for (size_t i = 0; i < owned.size(); ++i) {
-      final_epoch_weight[owned[i]] = ctx[i].epoch_weight;
+    busy_cycles.fetch_add(ReadCycleCounter() - thread_begin,
+                          std::memory_order_relaxed);
+    if (killed) {
+      workers[w]->status.store(kExited, std::memory_order_release);
+      return;
     }
+    // Retire the owned shards so the collector stops waiting on them
+    // (their residual mass moves to the final sweep).
     for (const size_t s : owned) {
-      epoch_done[s].store(kShardRetired, std::memory_order_release);
+      shards[s]->epoch_done.store(kShardRetired, std::memory_order_release);
     }
-    total_exact.fetch_add(local_exact, std::memory_order_relaxed);
-    total_degraded.fetch_add(local_degraded, std::memory_order_relaxed);
-    steal_events.fetch_add(local_steals, std::memory_order_relaxed);
-    stolen_records.fetch_add(local_stolen, std::memory_order_relaxed);
-    rotations.fetch_add(local_rotations, std::memory_order_relaxed);
-    rotation_refusals.fetch_add(local_refusals, std::memory_order_relaxed);
-    worker_done[w].store(true, std::memory_order_release);
+    workers[w]->status.store(kDone, std::memory_order_release);
   };
 
-  std::vector<std::thread> workers;
-  workers.reserve(W);
-  for (size_t w = 0; w < W; ++w) workers.emplace_back(worker_fn, w);
+  for (size_t w = 0; w < W; ++w) {
+    workers[w]->thread = std::thread(worker_fn, w, false);
+  }
 
   // Everyone is spawned; open the gate and start the measured clock.
   wall.Restart();
   start_gate.store(true, std::memory_order_release);
 
-  // ---- Optional stall watchdog (flag-only). ----
+  // ---- Watchdog: flags shards whose progress froze while work remained,
+  // and respawns killed workers. Join-before-respawn keeps each shard
+  // single-writer at all times. ----
   std::atomic<bool> stop_watchdog{false};
   std::thread watchdog;
-  if (config.watchdog_timeout_ms > 0) {
+  if (watchdog_ms > 0) {
     watchdog = std::thread([&] {
-      std::vector<StallDetector> detectors;
-      detectors.reserve(W);
-      for (size_t w = 0; w < W; ++w) {
-        detectors.emplace_back(config.watchdog_timeout_ms);
-      }
+      std::vector<StallDetector> detectors(S, StallDetector(watchdog_ms));
       Stopwatch clock;
       while (!stop_watchdog.load(std::memory_order_acquire)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         const uint64_t now_ms =
             static_cast<uint64_t>(clock.ElapsedSeconds() * 1e3);
         for (size_t w = 0; w < W; ++w) {
-          if (worker_done[w].load(std::memory_order_acquire)) continue;
-          bool pending = false;
-          for (const size_t s : topo.worker_shards[w]) {
-            if (!producer_done[s].load(std::memory_order_acquire) ||
-                rings[s]->SizeApprox() != 0) {
-              pending = true;
-              break;
-            }
+          Worker& wk = *workers[w];
+          if (wk.status.load(std::memory_order_acquire) != kExited) continue;
+          std::lock_guard<std::mutex> lock(wk.thread_mu);
+          wk.thread.join();
+          wk.status.store(kRunning, std::memory_order_release);
+          wk.thread = std::thread(worker_fn, w, true);
+        }
+        for (size_t s = 0; s < S; ++s) {
+          Shard& sh = *shards[s];
+          if (sh.epoch_done.load(std::memory_order_acquire) ==
+              kShardRetired) {
+            continue;
           }
-          if (detectors[w].Observe(
-                  worker_progress[w].load(std::memory_order_relaxed), now_ms,
-                  pending)) {
-            stalls_detected.fetch_add(1, std::memory_order_relaxed);
+          const bool pending =
+              !sh.producer_done.load(std::memory_order_acquire) ||
+              sh.ring.SizeApprox() != 0;
+          if (detectors[s].Observe(sh.progress.load(std::memory_order_relaxed),
+                                   now_ms, pending)) {
+            ++sh.health.stalls_detected;
+            Bump(sh.m.stalls_detected);
           }
         }
       }
@@ -479,6 +784,14 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   std::vector<EpochRecord> epochs;
   std::unordered_map<FiveTuple, uint64_t> merged_table;
   Rng merge_rng(config.seed ^ 0xe90c4ULL);
+  const auto all_retired = [&] {
+    for (const auto& sh : shards) {
+      if (sh->epoch_done.load(std::memory_order_acquire) != kShardRetired) {
+        return false;
+      }
+    }
+    return true;
+  };
   std::thread collector;
   uint64_t last_requested = 0;
   if (config.rotation_interval_packets > 0) {
@@ -488,13 +801,7 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
       for (;;) {
         bool all_done;
         for (;;) {
-          all_done = true;
-          for (size_t w = 0; w < W; ++w) {
-            if (!worker_done[w].load(std::memory_order_acquire)) {
-              all_done = false;
-              break;
-            }
-          }
+          all_done = all_retired();
           if (all_done ||
               drained_total.load(std::memory_order_relaxed) >= next_mark) {
             break;
@@ -518,12 +825,11 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
         for (size_t s = 0; s < S; ++s) {
           // Wait for the shard to serve this epoch — or for its worker to
           // retire, in which case the shard's mass lands in the final sweep.
-          while (epoch_done[s].load(std::memory_order_acquire) < epoch &&
-                 !worker_done[topo.shard_owner[s]].load(
-                     std::memory_order_acquire)) {
+          while (shards[s]->epoch_done.load(std::memory_order_acquire) <
+                 epoch) {
             std::this_thread::yield();
           }
-          auto pub = shards[s]->TakePublished();
+          auto pub = shards[s]->sketches.TakePublished();
           if (pub.sketch != nullptr) {
             rec.applied_weight += pub.applied_weight;
             rec.sketch_mass += pub.sketch->TotalValue();
@@ -535,12 +841,12 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
         sources.reserve(taken.size());
         for (const auto& [s, pub] : taken) sources.push_back(pub.sketch.get());
         rec.merge_conflicts =
-            FoldEpochSketches(sources, per_shard_memory, config.d,
-                              config.seed, &merge_rng, &merged_table);
+            FoldEpochSketches(sources, per_shard_memory, config.d, &merge_rng,
+                              &merged_table, &rec.seeds);
         // Recycling re-arms each shard's next rotation; Clear() runs here,
         // on the collector thread, never on a writer.
         for (auto& [s, pub] : taken) {
-          shards[s]->Recycle(std::move(pub.sketch));
+          shards[s]->sketches.Recycle(std::move(pub.sketch));
         }
         epochs.push_back(rec);
         next_mark += config.rotation_interval_packets;
@@ -550,7 +856,17 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   }
 
   for (auto& t : producers) t.join();
-  for (auto& t : workers) t.join();
+  for (auto& wk : workers) {
+    // A killed worker's replacement is the watchdog's to join; this thread
+    // joins only workers that finished for good.
+    if (watchdog_ms > 0) {
+      while (wk->status.load(std::memory_order_acquire) != kDone) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+    std::lock_guard<std::mutex> lock(wk->thread_mu);
+    wk->thread.join();
+  }
   if (collector.joinable()) collector.join();
   stop_watchdog.store(true, std::memory_order_release);
   if (watchdog.joinable()) watchdog.join();
@@ -562,38 +878,60 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   final_rec.epoch = last_requested + 1;
   std::vector<EpochShard<FiveTuple>::Published> leftovers;
   std::vector<const Sketch*> sources;
-  for (size_t s = 0; s < S; ++s) {
-    auto pub = shards[s]->TakePublished();
+  for (const auto& sh : shards) {
+    auto pub = sh->sketches.TakePublished();
     if (pub.sketch != nullptr) {
       final_rec.applied_weight += pub.applied_weight;
       final_rec.sketch_mass += pub.sketch->TotalValue();
       leftovers.push_back(std::move(pub));
     }
-    Sketch* active = shards[s]->active();
-    final_rec.applied_weight += final_epoch_weight[s];
+    Sketch* active = sh->sketches.active();
+    final_rec.applied_weight += sh->epoch_weight;
     final_rec.sketch_mass += active->TotalValue();
     sources.push_back(active);
     ++final_rec.shards_published;
   }
   for (const auto& pub : leftovers) sources.push_back(pub.sketch.get());
   final_rec.merge_conflicts =
-      FoldEpochSketches(sources, per_shard_memory, config.d, config.seed,
-                        &merge_rng, &merged_table);
+      FoldEpochSketches(sources, per_shard_memory, config.d, &merge_rng,
+                        &merged_table, &final_rec.seeds);
   epochs.push_back(final_rec);
 
-  result.packets_exact = total_exact.load();
-  result.packets_degraded = total_degraded.load();
-  result.packets_processed = result.packets_exact + result.packets_degraded;
-  for (size_t s = 0; s < S; ++s) result.rx_dropped += rings[s]->rx_dropped();
+  DatapathHealth& health = result.health;
+  uint64_t update_cycles = 0;
+  for (const auto& sh : shards) {
+    AddHealth(sh->health, &health);
+    health.rx_dropped += sh->ring.rx_dropped();
+    health.degrade_enter_events += sh->ladder.enter_events();
+    result.batches_drained += sh->batches;
+    result.steal_events += sh->steal_events;
+    result.stolen_records += sh->stolen_records;
+    result.rotations += sh->epoch_rotations;
+    result.rotation_refusals += sh->rotation_refusals;
+    update_cycles += sh->update_cycles;
+  }
+  health.stalls_injected = injector.stalls_fired();
+  health.kills_injected = injector.kills_fired();
+  result.rx_dropped = health.rx_dropped;
+  result.packets_processed = health.packets_exact + health.packets_degraded;
+  if (result.packets_processed != 0) {
+    health.degraded_fraction =
+        static_cast<double>(health.packets_degraded) /
+        static_cast<double>(result.packets_processed);
+  }
   result.mpps = seconds == 0.0
                     ? 0.0
                     : static_cast<double>(result.packets_processed) /
                           seconds / 1e6;
-  result.steal_events = steal_events.load();
-  result.stolen_records = stolen_records.load();
-  result.rotations = rotations.load();
-  result.rotation_refusals = rotation_refusals.load();
-  result.stalls_detected = stalls_detected.load();
+  if (result.batches_drained != 0) {
+    result.avg_batch_fill = static_cast<double>(result.packets_processed) /
+                            static_cast<double>(result.batches_drained);
+  }
+  if (busy_cycles.load() != 0) {
+    result.measurement_cpu_fraction =
+        static_cast<double>(update_cycles) /
+        static_cast<double>(busy_cycles.load());
+  }
   result.single_writer_ok = !single_writer_violated.load();
   result.epochs = std::move(epochs);
   for (const EpochRecord& rec : result.epochs) {
@@ -601,17 +939,30 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   }
   result.merged_table = std::move(merged_table);
 
+  // End-of-run publication: per-shard sketch introspection gauges plus the
+  // run-level rates. Counters were maintained live above; these are the
+  // quantities that only make sense at quiescence.
   if (config.registry != nullptr) {
+    if (config.with_sketch) {
+      for (const auto& sh : shards) {
+        obs::PublishSketchStats(config.registry, sh->m.base + ".sketch",
+                                sh->sketches.active()->Stats());
+      }
+    }
     const std::string run = config.metrics_prefix + ".run.";
-    config.registry->GetGauge(run + "mpps")->Set(result.mpps);
-    config.registry->GetGauge(run + "num_shards")
-        ->Set(static_cast<double>(S));
-    config.registry->GetGauge(run + "num_workers")
-        ->Set(static_cast<double>(W));
-    config.registry->GetGauge(run + "steal_events")
-        ->Set(static_cast<double>(result.steal_events));
-    config.registry->GetGauge(run + "rotations")
-        ->Set(static_cast<double>(result.rotations));
+    const auto gauge = [&](const char* leaf, double value) {
+      config.registry->GetGauge(run + leaf)->Set(value);
+    };
+    gauge("mpps", result.mpps);
+    gauge("measurement_cpu_fraction", result.measurement_cpu_fraction);
+    gauge("avg_batch_fill", result.avg_batch_fill);
+    gauge("degraded_fraction", health.degraded_fraction);
+    // Current pool width, for dashboards; ReadConservation deliberately
+    // ignores it and sums every q<i> that ever counted.
+    gauge("num_shards", static_cast<double>(S));
+    gauge("num_workers", static_cast<double>(W));
+    gauge("steal_events", static_cast<double>(result.steal_events));
+    gauge("rotations", static_cast<double>(result.rotations));
   }
   return result;
 }

@@ -1,8 +1,11 @@
-// Multi-core scale-out datapath (DESIGN.md "Multi-core scale-out"; ROADMAP
-// NUMA/multi-core item).
+// The OVS-style datapath (§6 / Appendix B, Fig. 15(a); DESIGN.md §7).
 //
-// The classic ovs::DatapathSim stripes the trace round-robin over a handful
-// of queue-private sketches. This layer is the tens-of-cores shape:
+// Per-shard producer threads (standing in for DPDK poll-mode drivers fed by
+// a NIC) push packet headers into SPSC rings; worker threads poll the rings
+// and update single-writer CocoSketch shards. The NIC line rate is an
+// optional token bucket shared by the producers, so NIC-capped runs
+// saturate at the cap once enough threads are added — the shape of
+// Fig. 15(a) — and uncapped runs measure the compute path itself.
 //
 //   * RSS flow steering (ovs/steering.h): shard = hash(full key), so every
 //     flow's packets converge on one shard, every shard's sketch has exactly
@@ -18,24 +21,24 @@
 //     and pop up to steal_batches batches. Stolen records are RE-STEERED to
 //     the thief's primary shard — applied to a sketch only the thief ever
 //     writes — so the single-writer invariant holds even while helping.
-//     (Re-steering splits a flow's mass across shards exactly like network-
-//     wide sharding does; the PR 4 merge keeps the combined decode unbiased
-//     and mass-conserving.)
 //   * Epoch-based rotation (ovs/epoch.h): the collector requests an epoch;
 //     each writer triple-buffer-swaps its sketch at a batch boundary (O(1),
-//     never blocking on readers) and the collector merges the published
-//     shard sketches via core/merge.h — readers never stall writers.
-//   * Degrade/watchdog integration: the PR 2 ladder runs per shard
-//     (occupancy-hysteresis sampled updates with compensated weights), and
-//     an optional stall watchdog (ovs/watchdog.h StallDetector) flags frozen
-//     workers.
+//     never blocking on readers) and the collector folds the published
+//     shard sketches via core/merge.h, one fold per hash seed.
+//   * Fault tolerance (docs/ROBUSTNESS.md): ring overflow policies, a per-
+//     shard graceful-degradation ladder, periodic per-shard checkpoints, and
+//     a watchdog that flags stalled shards and respawns killed workers from
+//     each owned shard's newest valid checkpoint. Faults are scripted
+//     deterministically via FaultPlan (ovs/fault.h), indexed by shard.
+//   * Adversarial hardening: windowed attack detection per shard, with seed
+//     rotation (core/seed_rotation.h) on a confirmed collision attack.
 //
 // Conservation contract (tests/scaleout_test.cpp): every offered record is
 // counted exactly once — offered == exact + degraded + rx_dropped across ALL
-// per-shard counters (ReadConservation's discovery overload; with stealing
-// the per-queue balance intentionally does NOT hold, only the global sum
-// does), and the total sketch mass over all published epochs plus the final
-// sweep equals the total weight applied.
+// per-shard counters (ReadConservation; with stealing the per-shard balance
+// intentionally does NOT hold, only the global sum does), and the total
+// sketch mass over all collected epochs plus packets_lost_estimate equals
+// the total weight applied.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +46,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/attack_monitor.h"
 #include "obs/metrics.h"
+#include "ovs/fault.h"
 #include "ovs/spsc_ring.h"
 #include "ovs/steering.h"
 #include "packet/keys.h"
@@ -60,19 +65,26 @@ struct ScaleoutConfig {
   // replay / the scaling bench, where the compute path is the object).
   double nic_rate_mpps = 0.0;
 
+  bool with_sketch = true;  // false = plain forwarding ("OVS w/o")
   size_t sketch_memory_bytes = 512 * 1024;  // split across shards
   size_t d = 2;
   // One seed for every shard sketch — epoch publication merges shards
-  // sketch-level (core/merge.h), which requires seed equality.
+  // sketch-level (core/merge.h), which requires seed equality. Only a seed
+  // rotation moves a shard off it.
   uint64_t seed = 0x5ca1e0;
   // 0 = derive from `seed` (domain-separated inside FlowSteering).
   uint64_t steering_seed = 0;
 
   size_t ring_capacity = 4096;
-  size_t drain_batch = 32;
+  size_t drain_batch = 32;  // max records popped per ring poll
+  // Producer behavior on a full ring: backpressure (spin) or drop + count.
   OverflowPolicy overflow = OverflowPolicy::kBackpressure;
 
-  // Degradation ladder, per shard (see DatapathConfig for semantics).
+  // Graceful-degradation ladder, per shard: when ring occupancy crosses
+  // high_watermark * capacity, the owner switches to sampled updates
+  // (probability degrade_sample_prob, weights compensated by 1/p so
+  // estimates stay unbiased), and steps back to exact updates once
+  // occupancy falls below low_watermark * capacity.
   bool degrade_enabled = false;
   double degrade_high_watermark = 0.75;
   double degrade_low_watermark = 0.25;
@@ -86,19 +98,101 @@ struct ScaleoutConfig {
   size_t steal_batches = 4;
 
   // Epoch rotation: the collector requests a rotation every
-  // `rotation_interval_packets` globally drained packets and merges the
+  // `rotation_interval_packets` globally drained packets and folds the
   // published shard sketches. 0 = no mid-run epochs (one final sweep).
   uint64_t rotation_interval_packets = 0;
 
-  // Stall watchdog over per-worker progress (flag-only; the scale-out layer
-  // has no kill/respawn faults — that machinery stays in DatapathSim).
-  // 0 = off.
+  // Periodic checkpointing: every `checkpoint_interval` records applied to a
+  // shard, its writer serializes the shard's sketch for crash recovery. An
+  // epoch rotation starts a fresh checkpoint store. 0 = off.
+  uint64_t checkpoint_interval = 0;
+
+  // Watchdog poll timeout: a shard whose progress is frozen this long while
+  // work remains is flagged as stalled; a killed worker is respawned and
+  // every shard it owned restored from its newest valid checkpoint. 0 = off
+  // (auto-enabled at 200 ms when the fault plan injects kills — a killed
+  // worker with no watchdog would hang a backpressured producer forever).
   uint64_t watchdog_timeout_ms = 0;
 
+  // Scripted faults, each keyed to one shard's progress (empty = fault-free).
+  FaultPlan faults;
+
+  // Windowed attack detection (core/attack_monitor.h): every
+  // `attack_window_packets` records applied to a shard, its writer
+  // snapshots the shard's sketch stats and classifies the window. 0 = off.
+  uint64_t attack_window_packets = 0;
+  core::AttackMonitor::Options attack_options;
+
+  // Escalation on a confirmed COLLISION attack: rotate the shard's sketch to
+  // a fresh seed (decode once, replay, mass conserved); later epochs of the
+  // shard keep the new seed. A collision confirmed again after a rotation
+  // (adaptive attacker), or a confirmed churn flood (seed-independent),
+  // instead forces the degrade ladder on — the last resort, only available
+  // when degrade_enabled is set. The forced degradation lifts after
+  // sustained honest windows.
+  bool rotate_on_attack = false;
+  // 0 = rotate onto fresh entropy (the attacker must not be able to predict
+  // the next seed). Nonzero gives deterministic rotation targets for tests,
+  // derived per shard and per rotation.
+  uint64_t rotation_seed = 0;
+
   // Live metrics under `<prefix>.q<shard>.*` / `<prefix>.run.*`
-  // (docs/OBSERVABILITY.md "Scale-out metrics"). nullptr disables.
+  // (docs/OBSERVABILITY.md). nullptr disables instrumentation entirely
+  // (zero hot-path cost). The registry must outlive RunScaleout.
   obs::Registry* registry = nullptr;
   std::string metrics_prefix = "scaleout";
+};
+
+// The conservation invariant read live from the registry: a record offered
+// to a shard ends up exact, degraded, or rx_dropped — nowhere else. Offered
+// is incremented before the ring push, so Accounted() <= offered holds
+// mid-run (HoldsLive; modulo relaxed-counter propagation between cores) and
+// equality holds once the datapath is quiescent (Holds).
+struct ConservationView {
+  uint64_t offered = 0;
+  uint64_t exact = 0;
+  uint64_t degraded = 0;
+  uint64_t rx_dropped = 0;
+
+  uint64_t Accounted() const { return exact + degraded + rx_dropped; }
+  bool Holds() const { return Accounted() == offered; }
+  bool HoldsLive() const { return Accounted() <= offered; }
+};
+
+// Scans the registry for every `<prefix>.q<i>.*` counter, so shards retired
+// by a pool resize between runs against one registry keep their mass in the
+// sum. `<prefix>.run.num_shards` carries the CURRENT width for dashboards.
+ConservationView ReadConservation(obs::Registry* registry,
+                                  const std::string& prefix = "scaleout");
+
+// Robustness observability: every counter the fault-tolerance layer
+// maintains. In a fault-free, non-degraded run all fields stay zero except
+// packets_exact.
+struct DatapathHealth {
+  uint64_t rx_dropped = 0;         // producer drops (kDropNewest only)
+  uint64_t packets_exact = 0;      // drained + applied at full fidelity
+  uint64_t packets_degraded = 0;   // drained while the ladder was engaged
+  double degraded_fraction = 0.0;  // degraded / (exact + degraded)
+  uint64_t degrade_enter_events = 0;  // exact -> degraded transitions
+  uint64_t stalls_injected = 0;       // FaultPlan stalls that fired
+  uint64_t kills_injected = 0;        // FaultPlan kills that fired
+  uint64_t stalls_detected = 0;       // watchdog stall detections (per shard)
+  uint64_t checkpoints_taken = 0;
+  uint64_t checkpoints_rejected = 0;  // restore candidates failing checksum
+  uint64_t restores = 0;              // shards rebuilt after a worker respawn
+  // Measurement loss from crash recovery: records applied to a shard after
+  // its restored checkpoint was taken (their sketch state died with the
+  // worker). Recorded mass plus this bound reconstructs the applied weight
+  // for unit-weight traces.
+  uint64_t packets_lost_estimate = 0;
+  // Adversarial hardening (attack_window_packets > 0):
+  uint64_t attack_windows_suspicious = 0;  // threshold crossings (pre-confirm)
+  uint64_t collision_attacks_confirmed = 0;
+  uint64_t churn_floods_confirmed = 0;
+  uint64_t seed_rotations = 0;             // seed swaps executed
+  uint64_t attack_degrade_forced = 0;      // last-resort ladder activations
+  // False only if some rotation's replay failed to conserve sketch mass.
+  bool rotation_mass_conserved = true;
 };
 
 // One collected epoch (or the final quiescent sweep, epoch id = last
@@ -112,45 +206,52 @@ struct EpochRecord {
   uint64_t applied_weight = 0;
   uint64_t sketch_mass = 0;       // sum of TotalValue over published shards
   uint64_t merge_conflicts = 0;   // probabilistic key resolutions in the fold
+  size_t seeds = 0;               // hash seeds folded (one fold each)
 };
 
 struct ScaleoutResult {
   double mpps = 0.0;
   uint64_t packets_processed = 0;  // exact + degraded (excludes rx drops)
-  uint64_t packets_exact = 0;
-  uint64_t packets_degraded = 0;
-  uint64_t rx_dropped = 0;
+  uint64_t rx_dropped = 0;         // == health.rx_dropped
+
+  // Sketch-update share of worker cycles (0 without a sketch; estimated from
+  // every 8th batch of each shard), and the batched-drain statistics:
+  // avg_batch_fill is records per non-empty pop — near 1 when workers
+  // outrun the NIC, approaching drain_batch under backlog.
+  double measurement_cpu_fraction = 0.0;
+  uint64_t batches_drained = 0;
+  double avg_batch_fill = 0.0;
+  DatapathHealth health;
 
   uint64_t steal_events = 0;    // bounded steals executed
   uint64_t stolen_records = 0;  // records re-steered to a thief's shard
 
   uint64_t rotations = 0;          // successful per-shard epoch swaps
   uint64_t rotation_refusals = 0;  // TryRotate declined (reader lagging)
-  uint64_t stalls_detected = 0;    // watchdog flags (0 when watchdog off)
 
   // False if the per-sketch writer-exclusion probe ever saw two workers in
   // an apply section of the same sketch concurrently — the single-writer
   // invariant, checked structurally (TSan checks it at the byte level).
   bool single_writer_ok = true;
 
-  // Every collected epoch in order, final sweep last. Sum of sketch_mass
-  // over the records equals packets_processed's applied weight.
+  // Every collected epoch in order, final sweep last.
   std::vector<EpochRecord> epochs;
   uint64_t total_sketch_mass = 0;
 
-  // Decode of every epoch's merged sketch, accumulated — the control-plane
-  // flow table over the whole run.
+  // Decode of every epoch's folded sketches, accumulated — the
+  // control-plane flow table over the whole run (empty without a sketch).
   std::unordered_map<FiveTuple, uint64_t> merged_table;
 
   ShardTopology topology;
 };
 
-// Runs the trace through the scale-out datapath. Records are pre-steered by
-// full-key hash into per-shard producer lists (the NIC's RSS stage); one
-// producer thread per shard paces and pushes, `num_workers` workers drain.
-// Guaranteed to terminate for any config: backpressure producers are always
-// eventually drained (their owner polls until producer-done and empty), and
-// rotation refusals never block a writer.
+// Runs the trace through the datapath. Records are pre-steered by full-key
+// hash into per-shard producer lists (the NIC's RSS stage); one producer
+// thread per shard paces and pushes, `num_workers` workers drain.
+// Guaranteed to terminate for any config and FaultPlan: drops never block
+// producers, backpressured producers are always eventually drained, killed
+// workers are respawned by the watchdog, and rotation refusals never block
+// a writer.
 ScaleoutResult RunScaleout(const ScaleoutConfig& config,
                            const std::vector<Packet>& trace);
 

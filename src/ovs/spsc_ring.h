@@ -98,9 +98,9 @@ class SpscRing {
   // bounded steal. Every PopBatch/TryPop caller in a stealing topology must
   // hold the token; test_and_set(acquire) / clear(release) hand the
   // consumer-side cursor state (tail_ plus the cached_head_ cache) from one
-  // consumer to the next with the ordering a mutex would provide. Non-
-  // stealing deployments (the classic DatapathSim) never touch the token —
-  // zero added cost on their pop paths.
+  // consumer to the next with the ordering a mutex would provide. The
+  // datapath takes it around every pop, stealing or not; uncontended that
+  // is one test_and_set and one clear per batch.
   bool TryAcquireConsumer() {
     return !consumer_token_.test_and_set(std::memory_order_acquire);
   }

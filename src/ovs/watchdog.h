@@ -1,13 +1,13 @@
 // Watchdog building blocks for the OVS datapath: checkpoint storage and
 // stall detection.
 //
-// The datapath's recovery story (docs/ROBUSTNESS.md): each measurement
-// thread periodically serializes its sketch into a CheckpointStore; a
-// monitor thread watches per-queue progress counters and, when a consumer
-// dies, respawns it from the newest checkpoint image that passes its
-// checksum. Both pieces here are deliberately free of threads and clocks —
-// the caller supplies timestamps — so tests can drive every path
-// deterministically.
+// The datapath's recovery story (docs/ROBUSTNESS.md): each shard's writer
+// periodically serializes the shard's sketch into a CheckpointStore; a
+// monitor thread watches per-shard progress counters and, when a worker
+// dies, respawns it and restores every shard it owned from the newest
+// checkpoint image that passes its checksum. Both pieces here are
+// deliberately free of threads and clocks — the caller supplies
+// timestamps — so tests can drive every path deterministically.
 #pragma once
 
 #include <cstdint>
@@ -17,17 +17,17 @@
 
 namespace coco::ovs {
 
-// One queue's checkpoint slots: the two most recent serialized sketch
-// images plus the drain progress recorded when each was taken. Keeping two
+// One shard's checkpoint slots: the two most recent serialized sketch
+// images plus the shard progress recorded when each was taken. Keeping two
 // lets recovery fall back to the older image when the newest one is corrupt
-// (torn write, injected fault). Writes come from the queue's consumer,
-// reads from its replacement after a crash — a mutex is ample at
-// checkpoint frequency.
+// (torn write, injected fault). Writes come from the shard's writer, reads
+// from its replacement after a crash — a mutex is ample at checkpoint
+// frequency.
 class CheckpointStore {
  public:
   struct Image {
-    uint64_t seq = 0;       // 1-based checkpoint number within the queue
-    uint64_t progress = 0;  // packets drained when the image was taken
+    uint64_t seq = 0;       // 1-based checkpoint number within the shard
+    uint64_t progress = 0;  // records applied when the image was taken
     std::vector<uint8_t> bytes;
   };
 
@@ -45,6 +45,14 @@ class CheckpointStore {
     if (!latest_.bytes.empty()) out.push_back(latest_);
     if (!previous_.bytes.empty()) out.push_back(previous_);
     return out;
+  }
+
+  // Drops both images (a new measurement epoch began; images of the
+  // retired one must never be restored). count() keeps counting.
+  void Clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    latest_ = Image{};
+    previous_ = Image{};
   }
 
   uint64_t count() const {

@@ -79,22 +79,6 @@ std::vector<std::pair<Key, uint64_t>> TopRows(const FlowTable<Key>& table,
   return rows;
 }
 
-// Sums several decoded partitions into one table — how the control plane
-// combines the shared-nothing per-queue sketches of the OVS datapath
-// (each packet lands in exactly one partition, so summation is exact
-// aggregation, not double counting).
-template <typename Key>
-FlowTable<Key> MergeTables(const std::vector<FlowTable<Key>>& partitions) {
-  FlowTable<Key> out;
-  size_t total = 0;
-  for (const auto& p : partitions) total += p.size();
-  out.reserve(total);
-  for (const auto& p : partitions) {
-    for (const auto& [key, size] : p) out[key] += size;
-  }
-  return out;
-}
-
 // Keys at or above a threshold — the reported set for HH / HC tasks.
 template <typename Key>
 FlowTable<Key> FilterThreshold(const FlowTable<Key>& table,

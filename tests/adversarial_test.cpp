@@ -25,7 +25,7 @@
 #include "core/seed_rotation.h"
 #include "hash/multihash.h"
 #include "obs/metrics.h"
-#include "ovs/datapath_sim.h"
+#include "ovs/scaleout.h"
 #include "packet/keys.h"
 #include "query/flow_table.h"
 #include "trace/adversarial.h"
@@ -301,8 +301,9 @@ TEST(SeedRotation, RecoversAccuracyUnderSustainedAttack) {
 // ---- Datapath composition (detect -> alarm -> rotate) ---------------------
 
 TEST(DatapathAttack, DetectsRotatesAndConservesPackets) {
-  ovs::DatapathConfig config;
-  config.num_queues = 1;
+  ovs::ScaleoutConfig config;
+  config.num_shards = 1;
+  config.num_workers = 1;
   config.nic_rate_mpps = 1000.0;  // uncapped: this test is not about pacing
   config.sketch_memory_bytes = KiB(16);
   config.seed = kFixedSeed;
@@ -313,7 +314,7 @@ TEST(DatapathAttack, DetectsRotatesAndConservesPackets) {
   obs::Registry registry;
   config.registry = &registry;
 
-  // Craft against the queue-0 sketch's exact geometry and seed.
+  // Craft against the shard-0 sketch's exact geometry and seed.
   CocoSketch<FiveTuple> ref(config.sketch_memory_bytes, 2, config.seed);
   const auto honest = HonestTrace(60'000);
   const auto victims = TopFlows(honest, 8);
@@ -323,12 +324,12 @@ TEST(DatapathAttack, DetectsRotatesAndConservesPackets) {
   const auto hostile =
       trace::BuildCollisionTrace(honest, attack, 80'000, 0.4);
 
-  const auto result = ovs::RunDatapath(config, hostile.packets);
+  const auto result = ovs::RunScaleout(config, hostile.packets);
   EXPECT_GT(result.health.collision_attacks_confirmed, 0u);
   EXPECT_GT(result.health.seed_rotations, 0u);
   EXPECT_TRUE(result.health.rotation_mass_conserved);
   // Packet conservation holds ACROSS the rotation epoch swap.
-  const auto c = ovs::ReadConservation(&registry, config.num_queues);
+  const auto c = ovs::ReadConservation(&registry, config.metrics_prefix);
   EXPECT_TRUE(c.Holds());
   EXPECT_EQ(result.packets_processed, hostile.packets.size());
   // And the merged table still accounts every unit of mass.
@@ -340,8 +341,9 @@ TEST(DatapathAttack, DetectsRotatesAndConservesPackets) {
 }
 
 TEST(DatapathAttack, HonestTrafficNeverTriggersResponse) {
-  ovs::DatapathConfig config;
-  config.num_queues = 2;
+  ovs::ScaleoutConfig config;
+  config.num_shards = 2;
+  config.num_workers = 2;
   config.nic_rate_mpps = 1000.0;
   config.sketch_memory_bytes = KiB(32);
   config.seed = kFixedSeed;
@@ -350,7 +352,7 @@ TEST(DatapathAttack, HonestTrafficNeverTriggersResponse) {
   config.rotate_on_attack = true;
   config.rotation_seed = 0xabc;
 
-  const auto result = ovs::RunDatapath(config, HonestTrace(120'000));
+  const auto result = ovs::RunScaleout(config, HonestTrace(120'000));
   EXPECT_EQ(result.health.collision_attacks_confirmed, 0u);
   EXPECT_EQ(result.health.churn_floods_confirmed, 0u);
   EXPECT_EQ(result.health.seed_rotations, 0u);

@@ -1,11 +1,12 @@
 // Tests for the control-plane modules: the Theorem-3/4 sketch planner,
-// windowed measurement, and sketch state serialization.
+// network-wide merging of decoded vantage points, and sketch state
+// serialization.
 #include <gtest/gtest.h>
 
 #include "common/sizes.h"
 #include "control/planner.h"
-#include "control/windowed.h"
 #include "core/cocosketch.h"
+#include "query/flow_table.h"
 #include "trace/generators.h"
 #include "trace/ground_truth.h"
 
@@ -114,81 +115,6 @@ TEST(PlannedSketch, HitsRecallTargetEmpirically) {
   EXPECT_GE(static_cast<double>(recorded) / kTrials, 0.96);
 }
 
-TEST(Windowed, RotateSealsAndClears) {
-  WindowedMeasurement<IPv4Key> wm(KiB(64));
-  for (int i = 0; i < 100; ++i) wm.Update(IPv4Key(1), 1);
-  EXPECT_TRUE(wm.current().empty());  // nothing sealed yet
-  EXPECT_EQ(wm.Rotate(), 0u);
-  EXPECT_EQ(wm.current().at(IPv4Key(1)), 100u);
-  // New epoch starts empty.
-  for (int i = 0; i < 30; ++i) wm.Update(IPv4Key(2), 1);
-  EXPECT_EQ(wm.Rotate(), 1u);
-  EXPECT_EQ(wm.current().at(IPv4Key(2)), 30u);
-  EXPECT_FALSE(wm.current().count(IPv4Key(1)));
-  EXPECT_EQ(wm.previous().at(IPv4Key(1)), 100u);
-}
-
-TEST(Windowed, HeavyChangesAcrossEpochs) {
-  WindowedMeasurement<IPv4Key> wm(KiB(64));
-  for (int i = 0; i < 500; ++i) wm.Update(IPv4Key(1), 1);
-  for (int i = 0; i < 500; ++i) wm.Update(IPv4Key(2), 1);
-  wm.Rotate();
-  for (int i = 0; i < 500; ++i) wm.Update(IPv4Key(1), 1);  // stable
-  for (int i = 0; i < 40; ++i) wm.Update(IPv4Key(2), 1);   // collapsed
-  for (int i = 0; i < 700; ++i) wm.Update(IPv4Key(3), 1);  // new
-  wm.Rotate();
-  const auto changes = wm.HeavyChanges(100);
-  EXPECT_EQ(changes.size(), 2u);
-  EXPECT_EQ(changes.at(IPv4Key(2)), 460u);
-  EXPECT_EQ(changes.at(IPv4Key(3)), 700u);
-}
-
-TEST(Windowed, ManyEpochsTrackChurn) {
-  // Drive eight epochs of churned traffic through the rotation machinery:
-  // every sealed epoch must decode the epoch's own flows only, and the
-  // change query must track the per-epoch ground-truth delta.
-  trace::TraceConfig config = trace::TraceConfig::CaidaLike(20000);
-  trace::FlowUniverse universe(config);
-  WindowedMeasurement<FiveTuple> wm(KiB(256));
-  Rng churn_rng(4);
-
-  trace::ExactCounter<FiveTuple> prev_truth;
-  for (uint64_t epoch = 0; epoch < 8; ++epoch) {
-    const auto packets =
-        trace::GenerateTraceFrom(universe, 20000, 900 + epoch);
-    trace::ExactCounter<FiveTuple> truth;
-    for (const Packet& p : packets) {
-      wm.Update(p.key, p.weight);
-      truth.Add(p.key, p.weight);
-    }
-    ASSERT_EQ(wm.Rotate(), epoch);
-
-    // Sealed table's mass equals this epoch's mass exactly.
-    uint64_t mass = 0;
-    for (const auto& [key, size] : wm.current()) mass += size;
-    EXPECT_EQ(mass, truth.Total());
-
-    if (epoch > 0) {
-      const uint64_t threshold = truth.Total() / 100;
-      const auto est_changes = wm.HeavyChanges(threshold);
-      const auto true_changes = prev_truth.HeavyChanges(truth, threshold);
-      // Recall of true heavy changes from the windowed estimate.
-      size_t found = 0;
-      for (const auto& [key, diff] : true_changes) {
-        auto it = est_changes.find(key);
-        found += (it != est_changes.end());
-      }
-      if (!true_changes.empty()) {
-        EXPECT_GT(static_cast<double>(found) / true_changes.size(), 0.8)
-            << "epoch " << epoch;
-      }
-    }
-    prev_truth = truth;
-    universe.Churn(0.3, churn_rng);
-  }
-  EXPECT_EQ(wm.epochs_sealed(), 8u);
-}
-
 TEST(NetworkWide, ControllerMergesSerializedVantagePoints) {
   // Three "switches" each observe a disjoint share of the traffic (striped,
   // as ECMP would), serialize their sketch state, and ship it to a
@@ -209,15 +135,15 @@ TEST(NetworkWide, ControllerMergesSerializedVantagePoints) {
     wire_images.push_back(device.SerializeState());
   }
 
-  // Controller side: restore each image into a fresh instance and merge the
-  // decoded tables.
-  std::vector<query::FlowTable<FiveTuple>> partitions;
+  // Controller side: restore each image into a fresh instance and sum the
+  // decoded tables (the switches saw disjoint packets, so summing is exact
+  // aggregation, not double counting).
+  query::FlowTable<FiveTuple> merged;
   for (size_t s = 0; s < kSwitches; ++s) {
     core::CocoSketch<FiveTuple> replica(KiB(200), 2, 100 + s);
     ASSERT_TRUE(replica.RestoreState(wire_images[s]));
-    partitions.push_back(replica.Decode());
+    for (const auto& [key, size] : replica.Decode()) merged[key] += size;
   }
-  const auto merged = query::MergeTables(partitions);
 
   uint64_t mass = 0;
   for (const auto& [key, size] : merged) mass += size;

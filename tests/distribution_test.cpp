@@ -59,23 +59,6 @@ TEST(EmpiricalEntropy, SingleFlowIsZero) {
   EXPECT_DOUBLE_EQ(metrics::EmpiricalEntropy(table), 0.0);
 }
 
-TEST(MergeTables, SumsAcrossPartitions) {
-  query::FlowTable<IPv4Key> a, b;
-  a[IPv4Key(1)] = 10;
-  a[IPv4Key(2)] = 5;
-  b[IPv4Key(1)] = 7;
-  b[IPv4Key(3)] = 2;
-  const auto merged = query::MergeTables<IPv4Key>({a, b});
-  EXPECT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged.at(IPv4Key(1)), 17u);
-  EXPECT_EQ(merged.at(IPv4Key(2)), 5u);
-  EXPECT_EQ(merged.at(IPv4Key(3)), 2u);
-}
-
-TEST(MergeTables, EmptyInput) {
-  EXPECT_TRUE(query::MergeTables<IPv4Key>({}).empty());
-}
-
 TEST(DistributionEndToEnd, CocoDecodesUsableFsdAndEntropy) {
   // The decoded table approximates the true table's heavy side; FSD distance
   // and entropy error should be modest at 1MB for a 50k-flow trace.

@@ -4,6 +4,7 @@
 // transport under injected faults, and a TCP smoke test.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -828,6 +829,13 @@ TEST(Netwide, ThreadedAgentsConverge) {
   uint64_t mass = 0;
   for (const Packet& p : trace) mass += p.weight;
 
+  // Agents and the collector keep ticking until every agent thread has seen
+  // its ack. No tick budget: thread start-up and scheduling under a
+  // sanitizer can outlast any fixed count. The deadline only turns a hang
+  // into a failed assertion.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::atomic<int> acked{0};
   std::vector<std::thread> threads;
   threads.reserve(kAgents);
   for (int i = 0; i < kAgents; ++i) {
@@ -841,21 +849,18 @@ TEST(Netwide, ThreadedAgentsConverge) {
         sketch.Update(trace[p].key, trace[p].weight);
       }
       agent.ExportEpoch();
-      for (int t = 0; t < 2000 && !(agent.Synced() &&
-                                    agent.last_acked_epoch() == 1); ++t) {
+      while (!(agent.Synced() && agent.last_acked_epoch() == 1) &&
+             std::chrono::steady_clock::now() < deadline) {
         agent.Tick();
         std::this_thread::yield();
       }
+      if (agent.Synced() && agent.last_acked_epoch() == 1) acked.fetch_add(1);
       EXPECT_EQ(agent.last_acked_epoch(), 1u);
     });
   }
-  for (int t = 0; t < 4000; ++t) {
+  while (acked.load() < kAgents &&
+         std::chrono::steady_clock::now() < deadline) {
     collector.Tick();
-    if (collector.AgentCount() == kAgents) {
-      bool all = true;
-      for (int i = 1; i <= kAgents; ++i) all &= collector.LastEpochOf(i) == 1;
-      if (all) break;
-    }
     std::this_thread::yield();
   }
   for (auto& t : threads) t.join();

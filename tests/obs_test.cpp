@@ -14,7 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/sketch_metrics.h"
 #include "obs/snapshot.h"
-#include "ovs/datapath_sim.h"
+#include "ovs/scaleout.h"
 #include "trace/generators.h"
 
 namespace coco::obs {
@@ -242,8 +242,11 @@ TEST(Conservation, HoldsPerQueueOnFaultedRun) {
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(60000));
   Registry registry;
-  ovs::DatapathConfig dp;
-  dp.num_queues = 2;
+  ovs::ScaleoutConfig dp;
+  dp.num_shards = 2;
+  dp.num_workers = 2;
+  dp.stealing_enabled = false;  // per-shard balance holds without steals
+  dp.metrics_prefix = "ovs";
   dp.nic_rate_mpps = 1000.0;
   dp.ring_capacity = 256;
   dp.sketch_memory_bytes = KiB(128);
@@ -253,12 +256,12 @@ TEST(Conservation, HoldsPerQueueOnFaultedRun) {
   dp.checkpoint_interval = 4096;
   dp.watchdog_timeout_ms = 50;
   dp.faults.stalls.push_back({0, 0, 30});
-  dp.faults.kills.push_back({1, trace.size() / dp.num_queues / 2});
+  dp.faults.kills.push_back({1, trace.size() / dp.num_shards / 2});
   dp.registry = &registry;
-  const auto result = ovs::RunDatapath(dp, trace);
+  const auto result = ovs::RunScaleout(dp, trace);
 
-  // Aggregate view first: offered must equal the trace (round-robin split).
-  const auto view = ovs::ReadConservation(&registry, dp.num_queues);
+  // Aggregate view first: offered must equal the trace (RSS split).
+  const auto view = ovs::ReadConservation(&registry, dp.metrics_prefix);
   EXPECT_EQ(view.offered, trace.size());
   EXPECT_TRUE(view.Holds())
       << "offered " << view.offered << " != " << view.exact << " + "
@@ -266,7 +269,7 @@ TEST(Conservation, HoldsPerQueueOnFaultedRun) {
   EXPECT_TRUE(view.HoldsLive());
 
   // And per queue, via single-queue reads of the same counters.
-  for (size_t q = 0; q < dp.num_queues; ++q) {
+  for (size_t q = 0; q < dp.num_shards; ++q) {
     const std::string p = "ovs.q" + std::to_string(q) + ".";
     const uint64_t offered = registry.GetCounter(p + "offered")->Value();
     const uint64_t exact = registry.GetCounter(p + "exact")->Value();
@@ -298,14 +301,16 @@ TEST(Conservation, FaultFreeRunIsAllExact) {
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(30000));
   Registry registry;
-  ovs::DatapathConfig dp;
-  dp.num_queues = 1;
+  ovs::ScaleoutConfig dp;
+  dp.num_shards = 1;
+  dp.num_workers = 1;
+  dp.metrics_prefix = "ovs";
   dp.nic_rate_mpps = 1000.0;
   dp.registry = &registry;
-  const auto result = ovs::RunDatapath(dp, trace);
+  const auto result = ovs::RunScaleout(dp, trace);
   EXPECT_EQ(result.packets_processed, trace.size());
 
-  const auto view = ovs::ReadConservation(&registry, dp.num_queues);
+  const auto view = ovs::ReadConservation(&registry, dp.metrics_prefix);
   EXPECT_EQ(view.offered, trace.size());
   EXPECT_EQ(view.exact, trace.size());
   EXPECT_EQ(view.degraded, 0u);

@@ -6,9 +6,9 @@
 #include <thread>
 
 #include "metrics/accuracy.h"
-#include "ovs/datapath_sim.h"
 #include "ovs/degrade.h"
 #include "ovs/fault.h"
+#include "ovs/scaleout.h"
 #include "ovs/spsc_ring.h"
 #include "ovs/watchdog.h"
 #include "trace/generators.h"
@@ -26,6 +26,16 @@
 
 namespace coco::ovs {
 namespace {
+
+// The shape the datapath tests run: one worker per shard and no stealing,
+// so every shard's records are drained and applied by its own worker.
+ScaleoutConfig OneWorkerPerShard(size_t shards) {
+  ScaleoutConfig config;
+  config.num_shards = shards;
+  config.num_workers = shards;
+  config.stealing_enabled = false;
+  return config;
+}
 
 TEST(SpscRing, FifoSingleThread) {
   SpscRing<int> ring(8);
@@ -290,10 +300,9 @@ TEST(FaultInjector, CorruptionIsDeterministicPerSeed) {
 TEST(Datapath, ProcessesEveryPacket) {
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(50000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 2;
+  ScaleoutConfig dp = OneWorkerPerShard(2);
   dp.nic_rate_mpps = 1000.0;  // effectively unpaced
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   EXPECT_EQ(result.packets_processed, trace.size());
   EXPECT_GT(result.mpps, 0.0);
 }
@@ -301,10 +310,9 @@ TEST(Datapath, ProcessesEveryPacket) {
 TEST(Datapath, NicRateCapsThroughput) {
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(60000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 2;
+  ScaleoutConfig dp = OneWorkerPerShard(2);
   dp.nic_rate_mpps = 2.0;  // deliberately slow NIC
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   EXPECT_EQ(result.packets_processed, trace.size());
   EXPECT_LE(result.mpps, 2.3);  // cap plus scheduling slack
   // Pacing fidelity degrades when the host has fewer cores than datapath
@@ -316,24 +324,22 @@ TEST(Datapath, NicRateCapsThroughput) {
 TEST(Datapath, ForwardingOnlyModeWorks) {
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(30000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 1;
+  ScaleoutConfig dp = OneWorkerPerShard(1);
   dp.with_sketch = false;
   dp.nic_rate_mpps = 1000.0;
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   EXPECT_EQ(result.packets_processed, trace.size());
   EXPECT_DOUBLE_EQ(result.measurement_cpu_fraction, 0.0);
 }
 
 TEST(Datapath, MergedTableConservesMass) {
-  // Each packet lands in exactly one partition, so the merged decode's total
-  // equals the stream mass — the correctness contract of MergeTables.
+  // Each packet lands in exactly one shard and the epoch fold conserves
+  // mass, so the merged decode's total equals the stream mass.
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(40000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 3;
+  ScaleoutConfig dp = OneWorkerPerShard(3);
   dp.nic_rate_mpps = 1000.0;
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   uint64_t mass = 0;
   for (const auto& [key, size] : result.merged_table) mass += size;
   EXPECT_EQ(mass, trace.size());  // unit weights
@@ -343,21 +349,20 @@ TEST(Datapath, MergedTableConservesMass) {
 TEST(Datapath, NoSketchMeansNoTable) {
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(5000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
+  ScaleoutConfig dp = OneWorkerPerShard(1);
   dp.with_sketch = false;
   dp.nic_rate_mpps = 1000.0;
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   EXPECT_TRUE(result.merged_table.empty());
 }
 
 TEST(Datapath, ReportsBatchFillStatistics) {
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(40000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 2;
+  ScaleoutConfig dp = OneWorkerPerShard(2);
   dp.nic_rate_mpps = 1000.0;  // unpaced: consumer sees backlog, batches fill
   dp.drain_batch = 32;
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   EXPECT_EQ(result.packets_processed, trace.size());
   EXPECT_GT(result.batches_drained, 0u);
   EXPECT_GE(result.avg_batch_fill, 1.0);
@@ -371,11 +376,10 @@ TEST(Datapath, ReportsBatchFillStatistics) {
 TEST(Datapath, DrainBatchOfOneStillProcessesEverything) {
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(20000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 1;
+  ScaleoutConfig dp = OneWorkerPerShard(1);
   dp.nic_rate_mpps = 1000.0;
   dp.drain_batch = 1;  // degenerate batching == per-packet drain
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   EXPECT_EQ(result.packets_processed, trace.size());
   EXPECT_DOUBLE_EQ(result.avg_batch_fill, 1.0);
   uint64_t mass = 0;
@@ -389,25 +393,23 @@ TEST(Datapath, MeasurementOverheadIsSmall) {
   // cycles must be small.
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(50000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 1;
+  ScaleoutConfig dp = OneWorkerPerShard(1);
   dp.nic_rate_mpps = 1.0;
 #if COCO_TEST_SANITIZED
   // Sanitizer instrumentation inflates the update path's cycle share; the
   // CPU-fraction bound is only meaningful on uninstrumented builds.
   GTEST_SKIP() << "cpu-fraction bound not meaningful under sanitizers";
 #endif
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   EXPECT_LT(result.measurement_cpu_fraction, 0.10);
 }
 
 TEST(Datapath, FaultFreeRunReportsCleanHealth) {
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(20000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 2;
+  ScaleoutConfig dp = OneWorkerPerShard(2);
   dp.nic_rate_mpps = 1000.0;
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   const DatapathHealth& h = result.health;
   EXPECT_EQ(h.packets_exact, trace.size());
   EXPECT_EQ(h.rx_dropped, 0u);
@@ -423,8 +425,7 @@ TEST(Datapath, DropModeNeverBlocksAndAccountsEveryPacket) {
   // accounting identity exact + degraded + dropped == offered must hold.
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(40000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 1;
+  ScaleoutConfig dp = OneWorkerPerShard(1);
   dp.nic_rate_mpps = 1000.0;  // unpaced: the producer outruns the stall
   dp.ring_capacity = 64;
   dp.overflow = OverflowPolicy::kDropNewest;
@@ -432,7 +433,7 @@ TEST(Datapath, DropModeNeverBlocksAndAccountsEveryPacket) {
   // unpaced producer may push (and drop) nearly the whole trace before the
   // consumer's progress counter reaches any higher trigger.
   dp.faults.stalls.push_back({0, 0, 150});
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   const DatapathHealth& h = result.health;
   EXPECT_EQ(h.stalls_injected, 1u);
   EXPECT_GT(h.rx_dropped, 0u);  // 150 ms into a 64-slot ring must overflow
@@ -451,8 +452,7 @@ TEST(Datapath, DegradationLadderEngagesUnderOverloadAndRecovers) {
   // to sampled updates until it has drained back below the low watermark.
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(50000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 1;
+  ScaleoutConfig dp = OneWorkerPerShard(1);
   dp.nic_rate_mpps = 1000.0;
   dp.ring_capacity = 256;
   dp.overflow = OverflowPolicy::kDropNewest;
@@ -461,7 +461,7 @@ TEST(Datapath, DegradationLadderEngagesUnderOverloadAndRecovers) {
   dp.degrade_low_watermark = 0.25;
   dp.degrade_sample_prob = 0.25;
   dp.faults.stalls.push_back({0, 0, 150});  // first-batch stall builds backlog
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   const DatapathHealth& h = result.health;
   EXPECT_GE(h.degrade_enter_events, 1u);  // woke up to a full ring
   EXPECT_GT(h.packets_degraded, 0u);
@@ -486,13 +486,12 @@ TEST(Datapath, ConsumerStallIsDetectedAndRunCompletes) {
   // the run still completes losslessly once the consumer wakes.
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(30000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 1;
+  ScaleoutConfig dp = OneWorkerPerShard(1);
   dp.nic_rate_mpps = 1000.0;
   dp.ring_capacity = 512;
   dp.watchdog_timeout_ms = 50;
   dp.faults.stalls.push_back({0, 1000, 300});
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   const DatapathHealth& h = result.health;
   EXPECT_EQ(h.stalls_injected, 1u);
   EXPECT_GE(h.stalls_detected, 1u);
@@ -510,21 +509,20 @@ TEST(Datapath, ConsumerKillRecoversFromCheckpoint) {
   // tight here).
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(60000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 2;
+  ScaleoutConfig dp = OneWorkerPerShard(2);
   dp.nic_rate_mpps = 1000.0;
   dp.ring_capacity = 1024;
   dp.checkpoint_interval = 2000;
   dp.watchdog_timeout_ms = 50;
 
   const uint64_t fault_free_mass = [&] {
-    const auto r = RunDatapath(dp, trace);
+    const auto r = RunScaleout(dp, trace);
     return metrics::TotalMass(r.merged_table);
   }();
   EXPECT_EQ(fault_free_mass, trace.size());  // lossless baseline
 
-  dp.faults.kills.push_back({0, trace.size() / dp.num_queues / 2});
-  const auto result = RunDatapath(dp, trace);
+  dp.faults.kills.push_back({0, trace.size() / dp.num_shards / 2});
+  const auto result = RunScaleout(dp, trace);
   const DatapathHealth& h = result.health;
   EXPECT_EQ(h.kills_injected, 1u);
   EXPECT_EQ(h.restores, 1u);
@@ -544,18 +542,17 @@ TEST(Datapath, CorruptCheckpointFallsBackToOlderImage) {
   // widening — but still honoring — the bounded-loss accounting.
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(60000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 2;
+  ScaleoutConfig dp = OneWorkerPerShard(2);
   dp.nic_rate_mpps = 1000.0;
   dp.ring_capacity = 1024;
   dp.checkpoint_interval = 2000;
   dp.watchdog_timeout_ms = 50;
-  const uint64_t kill_at = trace.size() / dp.num_queues / 2;  // 15000
+  const uint64_t kill_at = trace.size() / dp.num_shards / 2;  // 15000
   dp.faults.kills.push_back({0, kill_at});
   // Checkpoints land every >= 2000 drained packets, so the newest image
   // before a kill at 15000 is deterministically seq 7 (~14000).
   dp.faults.corruptions.push_back({0, 7});
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   const DatapathHealth& h = result.health;
   EXPECT_EQ(h.kills_injected, 1u);
   EXPECT_EQ(h.restores, 1u);
@@ -576,15 +573,14 @@ TEST(Datapath, InjectedFaultCountersAreSeedStable) {
   // dependent by nature and are covered by their accounting identities).
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(30000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 2;
+  ScaleoutConfig dp = OneWorkerPerShard(2);
   dp.nic_rate_mpps = 1000.0;
   dp.checkpoint_interval = 2000;
   dp.watchdog_timeout_ms = 50;
   dp.faults.stalls.push_back({1, 2000, 100});
   dp.faults.kills.push_back({0, 5000});
-  const auto a = RunDatapath(dp, trace);
-  const auto b = RunDatapath(dp, trace);
+  const auto a = RunScaleout(dp, trace);
+  const auto b = RunScaleout(dp, trace);
   EXPECT_EQ(a.health.stalls_injected, b.health.stalls_injected);
   EXPECT_EQ(a.health.kills_injected, b.health.kills_injected);
   EXPECT_EQ(a.health.restores, b.health.restores);

@@ -87,7 +87,7 @@ TEST(SampledCoco, RejectsBadProbability) {
 }
 
 // The gate is also used standalone by the datapath's degradation ladder
-// (ovs/datapath_sim.cpp), so its contract gets direct coverage.
+// (ovs/scaleout.cpp), so its contract gets direct coverage.
 TEST(SamplingGate, SameSeedSameDecisions) {
   SamplingGate a(0.25, 77), b(0.25, 77);
   for (int i = 0; i < 20000; ++i) {

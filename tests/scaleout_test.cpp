@@ -1,9 +1,11 @@
-// Multi-core scale-out concurrency battery (DESIGN.md "Multi-core
-// scale-out"): steering determinism and balance, placement under cost
-// models, shard-merge fidelity against monolithic decode, epoch rotation
-// (writers never blocked, per-epoch mass conservation, no torn reads),
-// bounded work stealing on adversarially skewed fill, and the
-// discovery-based conservation check across runtime-variable shard counts.
+// Concurrency battery for the datapath, ovs::RunScaleout (DESIGN.md §7):
+// steering determinism and balance, placement under cost models,
+// shard-merge fidelity against monolithic decode, epoch rotation (writers
+// never blocked, per-epoch mass conservation, no torn reads), bounded work
+// stealing on adversarially skewed fill, a killed worker's shards restored
+// across epochs, seed rotation surviving epoch swaps, a pinned merged
+// table, and the discovery-based conservation check across
+// runtime-variable shard counts.
 //
 // Thread counts scale with COCO_TEST_THREADS (CI runs the battery at 2 and
 // at the host's hardware concurrency); every threaded test also runs under
@@ -23,8 +25,8 @@
 #include "common/sizes.h"
 #include "core/cocosketch.h"
 #include "core/merge.h"
+#include "hash/bobhash.h"
 #include "obs/metrics.h"
-#include "ovs/datapath_sim.h"
 #include "ovs/epoch.h"
 #include "ovs/scaleout.h"
 #include "ovs/steering.h"
@@ -419,55 +421,190 @@ TEST(Scaleout, WatchdogStaysQuietOnHealthyRun) {
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(40000));
   const ScaleoutResult result = RunScaleout(config, trace);
-  EXPECT_EQ(result.stalls_detected, 0u);
+  EXPECT_EQ(result.health.stalls_detected, 0u);
   EXPECT_EQ(result.packets_processed, trace.size());
+}
+
+// ---- Faults, checkpoints and seed rotation on the multi-core path -------
+
+TEST(Scaleout, KilledWorkerRestoresEveryOwnedShardAcrossEpochs) {
+  // Four shards on two workers, epochs rotating mid-run: killing the owner
+  // of shard 0 takes down every shard that worker owns, and each one comes
+  // back from its own newest checkpoint of the ACTIVE epoch. Epochs here are
+  // shorter than the checkpoint interval, so most epochs end without a
+  // checkpoint: restoring an image of an epoch the collector already took
+  // would count its records twice and break the mass identity below.
+  const auto trace =
+      trace::GenerateTrace(trace::TraceConfig::CaidaLike(120000));
+  obs::Registry registry;
+  ScaleoutConfig config;
+  config.num_shards = 4;
+  config.num_workers = 2;
+  config.stealing_enabled = false;
+  config.nic_rate_mpps = 2.0;  // stretch the run so epochs land mid-stream
+  config.rotation_interval_packets = 4000;
+  config.checkpoint_interval = 3000;
+  config.watchdog_timeout_ms = 50;
+  config.faults.kills.push_back({0, 12000});
+  config.registry = &registry;
+  const ScaleoutResult result = RunScaleout(config, trace);
+  const DatapathHealth& h = result.health;
+
+  const std::vector<size_t>& lost_shards =
+      result.topology.worker_shards[result.topology.shard_owner[0]];
+  ASSERT_EQ(lost_shards.size(), 2u);
+  EXPECT_EQ(h.kills_injected, 1u);
+  EXPECT_EQ(h.restores, lost_shards.size());
+  for (size_t s = 0; s < config.num_shards; ++s) {
+    const bool lost = std::find(lost_shards.begin(), lost_shards.end(), s) !=
+                      lost_shards.end();
+    EXPECT_EQ(registry
+                  .GetCounter("scaleout.q" + std::to_string(s) + ".restores")
+                  ->Value(),
+              lost ? 1u : 0u)
+        << "shard " << s;
+  }
+  EXPECT_GT(h.checkpoints_taken, 0u);
+  EXPECT_GE(result.rotations, 1u);
+  EXPECT_GE(result.epochs.size(), 2u);
+  EXPECT_EQ(result.packets_processed, trace.size());
+
+  for (const EpochRecord& rec : result.epochs) {
+    EXPECT_EQ(rec.sketch_mass, rec.applied_weight) << "epoch " << rec.epoch;
+  }
+  EXPECT_EQ(result.total_sketch_mass + h.packets_lost_estimate,
+            TraceWeight(trace));
+  EXPECT_EQ(TableMass(result.merged_table), result.total_sketch_mass);
+  EXPECT_TRUE(ReadConservation(&registry).Holds());
+}
+
+TEST(Scaleout, SeedRotationSurvivesEpochSwapsAndFoldsPerSeed) {
+  // A collision attack crafted against shard 0 only (victims and crafted
+  // keys both steer there), with epochs rotating mid-run. Shard 0 rotates
+  // onto a fresh seed; every later epoch swap must keep that seed — a spare
+  // built on the attacked seed would hand the attacker the shard back and
+  // force another rotation — and the collector folds shard 0 apart from
+  // shard 1, which still hashes with the configured seed.
+  ScaleoutConfig config;
+  config.num_shards = 2;
+  config.num_workers = 2;
+  config.stealing_enabled = false;
+  config.sketch_memory_bytes = KiB(32);
+  config.seed = 0xc0c0;
+  config.steering_seed = 0x51ee;
+  config.nic_rate_mpps = 2.0;
+  config.rotation_interval_packets = 8000;
+  config.attack_window_packets = 4096;
+  config.attack_options.min_window_updates = 1024;
+  config.rotate_on_attack = true;
+  config.rotation_seed = 0x0123;
+  obs::Registry registry;
+  config.registry = &registry;
+
+  trace::TraceConfig honest_config = trace::TraceConfig::CaidaLike(60'000);
+  honest_config.num_flows = 300;
+  honest_config.num_networks = 32;
+  honest_config.seed = 1;
+  const auto honest = trace::GenerateTrace(honest_config);
+  const FlowSteering steering(config.steering_seed, config.num_shards);
+  const auto truth = trace::CountTrace(honest);
+  std::vector<std::pair<uint64_t, FiveTuple>> top;
+  for (const auto& [key, count] : truth.counts()) top.push_back({count, key});
+  std::sort(top.begin(), top.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::vector<FiveTuple> victims;
+  for (const auto& [count, key] : top) {
+    if (steering.Shard(key) == 0 && victims.size() < 6) victims.push_back(key);
+  }
+  const CocoSketch<FiveTuple> shard_sketch(
+      config.sketch_memory_bytes / config.num_shards, config.d, config.seed);
+  auto attack = trace::CraftCollisionKeys(config.seed, shard_sketch.d(),
+                                          shard_sketch.l(), victims, 16,
+                                          30'000'000, 13);
+  std::erase_if(attack.keys, [&](const FiveTuple& k) {
+    return steering.Shard(k) != 0;
+  });
+  ASSERT_FALSE(attack.keys.empty());
+  const auto hostile =
+      trace::BuildCollisionTrace(honest, attack, 60'000, /*start=*/0.2);
+
+  const ScaleoutResult result = RunScaleout(config, hostile.packets);
+  const DatapathHealth& h = result.health;
+  EXPECT_GT(h.collision_attacks_confirmed, 0u);
+  EXPECT_EQ(h.seed_rotations, 1u);
+  EXPECT_TRUE(h.rotation_mass_conserved);
+  EXPECT_EQ(registry.GetCounter("scaleout.q1.seed_rotations")->Value(), 0u);
+  EXPECT_GE(result.rotations, 2u);
+
+  // Mass survives the rotation and every fold: nothing aborts on the seed
+  // mismatch, nothing is dropped.
+  const uint64_t total = TraceWeight(hostile.packets);
+  for (const EpochRecord& rec : result.epochs) {
+    EXPECT_EQ(rec.sketch_mass, rec.applied_weight) << "epoch " << rec.epoch;
+  }
+  EXPECT_EQ(result.total_sketch_mass, total);
+  EXPECT_EQ(TableMass(result.merged_table), total);
+  EXPECT_TRUE(ReadConservation(&registry).Holds());
+  // The final sweep still sees two seeds: shard 0's rotated one survived
+  // the epoch swaps that followed the rotation.
+  EXPECT_EQ(result.epochs.back().seeds, 2u);
+}
+
+TEST(Scaleout, PinnedMergedTableMatchesAcrossVersions) {
+  // The benchmark's switch-path shape: 2 shards x 2 workers, 512 KiB, d=2,
+  // no stealing, no mid-run epochs, fixed seeds. Each shard has exactly one
+  // writer and the final fold draws from a seeded RNG, so the merged table
+  // is a pure function of the trace — pinned by an order-independent
+  // digest of its (key, value) entries.
+  const auto trace =
+      trace::GenerateTrace(trace::TraceConfig::CaidaLike(200'000));
+  ScaleoutConfig config;
+  config.num_shards = 2;
+  config.num_workers = 2;
+  config.nic_rate_mpps = 0.0;
+  config.sketch_memory_bytes = KiB(512);
+  config.d = 2;
+  config.seed = 0x5eed;
+  config.steering_seed = 0x57ee;
+  config.stealing_enabled = false;
+  config.rotation_interval_packets = 0;
+  const ScaleoutResult result = RunScaleout(config, trace);
+
+  uint64_t digest = result.merged_table.size();
+  for (const auto& [key, value] : result.merged_table) {
+    uint64_t state = hash::Hash64(key.data(), key.size(), 0x64696765ULL) ^
+                     (value * 0x9e3779b97f4a7c15ULL);
+    digest += SplitMix64(state);
+  }
+  EXPECT_EQ(result.merged_table.size(), 7828u);
+  EXPECT_EQ(digest, 0x7ad8f01f3e297e4dULL) << std::hex << digest;
 }
 
 // ---- Conservation across runtime-variable shard counts --------------------
 
 TEST(Conservation, DiscoveryCoversResizedQueuePool) {
-  // Two runs against ONE registry with different widths: a 4-queue run, then
-  // a 2-queue run. The explicit-count overload called with the current width
-  // silently forgets q2/q3's mass; the discovery overload scans the registry
-  // and keeps every queue that ever counted.
+  // Two runs against ONE registry with different widths: a 4-shard run, then
+  // a 2-shard run. The discovery scan keeps every shard that ever counted,
+  // so q2/q3 keep the first run's mass in the sum.
   obs::Registry registry;
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(20000));
-  DatapathConfig config;
+  ScaleoutConfig config;
   config.registry = &registry;
-  config.num_queues = 4;
-  RunDatapath(config, trace);
-  config.num_queues = 2;
-  RunDatapath(config, trace);
+  config.num_shards = 4;
+  config.num_workers = 4;
+  RunScaleout(config, trace);
+  config.num_shards = 2;
+  config.num_workers = 2;
+  RunScaleout(config, trace);
 
-  const ConservationView discovered = ReadConservation(&registry, "ovs");
+  const ConservationView discovered = ReadConservation(&registry);
   EXPECT_TRUE(discovered.Holds());
   EXPECT_EQ(discovered.offered, 2 * trace.size());
 
-  // The stale explicit call under-counts: q2/q3 retain the first run's mass.
-  const ConservationView stale = ReadConservation(&registry, 2, "ovs");
-  EXPECT_LT(stale.offered, 2 * trace.size());
-
   // Dashboards read the CURRENT width from the gauge instead of baking it
   // into call sites.
-  EXPECT_EQ(registry.GetGauge("ovs.run.num_queues")->Value(), 2.0);
-}
-
-TEST(Conservation, DiscoveryMatchesExplicitWhenWidthIsStable) {
-  obs::Registry registry;
-  const auto trace =
-      trace::GenerateTrace(trace::TraceConfig::CaidaLike(20000));
-  DatapathConfig config;
-  config.registry = &registry;
-  config.num_queues = 3;
-  RunDatapath(config, trace);
-  const ConservationView a = ReadConservation(&registry, 3, "ovs");
-  const ConservationView b = ReadConservation(&registry, "ovs");
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.exact, b.exact);
-  EXPECT_EQ(a.degraded, b.degraded);
-  EXPECT_EQ(a.rx_dropped, b.rx_dropped);
-  EXPECT_TRUE(b.Holds());
+  EXPECT_EQ(registry.GetGauge("scaleout.run.num_shards")->Value(), 2.0);
 }
 
 }  // namespace
