@@ -54,14 +54,21 @@ class CocoSketch : public BucketStore<CocoSketch<Key>, Key> {
   // recorded flows, input to the partial-key query front-end.
   std::unordered_map<Key, uint64_t> Decode() const {
     std::unordered_map<Key, uint64_t> out;
-    out.reserve(buckets_.size());
+    DecodeInto(&out);
+    return out;
+  }
+
+  // Adds every occupied bucket to *table, summing keys already there: the
+  // union of several sketches' decodes is one table (ovs::RunScaleout
+  // collects its shards this way).
+  void DecodeInto(std::unordered_map<Key, uint64_t>* table) const {
+    table->reserve(table->size() + buckets_.size());
     const uint32_t* values = buckets_.values();
     for (size_t i = 0; i < buckets_.size(); ++i) {
       if (values[i] == 0) continue;
-      auto [it, inserted] = out.emplace(buckets_.KeyAt(i), values[i]);
+      auto [it, inserted] = table->emplace(buckets_.KeyAt(i), values[i]);
       if (!inserted) it->second += values[i];
     }
-    return out;
   }
 
  private:

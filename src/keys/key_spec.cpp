@@ -52,16 +52,13 @@ TupleKeySpec::TupleKeySpec(std::string name, std::vector<FieldSel> fields)
     COCO_CHECK(sel.prefix_bits <= FieldBits(sel.field),
                "prefix longer than field");
     total_bits_ = static_cast<uint16_t>(total_bits_ + sel.prefix_bits);
+    if (sel.prefix_bits != 0) {
+      slices_.push_back({static_cast<uint8_t>(8 * FieldOffset(sel.field)),
+                         sel.prefix_bits});
+    }
   }
-}
-
-DynKey TupleKeySpec::Apply(const FiveTuple& full) const {
-  DynKey out;
-  BitWriter writer(out);
-  for (const FieldSel& sel : fields_) {
-    writer.Append(full.data() + FieldOffset(sel.field), sel.prefix_bits);
-  }
-  return out;
+  COCO_CHECK(total_bits_ <= DynKey::kCapacity * 8,
+             "partial key exceeds key capacity");
 }
 
 std::vector<TupleKeySpec> TupleKeySpec::DefaultSix() {

@@ -1,19 +1,22 @@
 // Partial-key specifications — the mapping g : k_F -> k_P of Definition 1.
 //
 // A TupleKeySpec selects a subset of 5-tuple fields (in canonical order) with
-// optional bit-granularity prefixes on IP fields; it maps a FiveTuple to a
-// DynKey. PrefixSpec / PrefixPairSpec are the analogous mappings for the
-// 1-d (SrcIP) and 2-d (SrcIP, DstIP) HHH hierarchies. All mappings are
-// deterministic and pure, so the subset-sum identity
+// optional bit-granularity prefixes on IP fields; it packs a FiveTuple's
+// selected bits into one 128-bit PackedKey (Pack) and renders that as a
+// DynKey (Apply). PrefixSpec / PrefixPairSpec are the analogous mappings
+// for the 1-d (SrcIP) and 2-d (SrcIP, DstIP) HHH hierarchies. All mappings
+// are deterministic and pure, so the subset-sum identity
 //   f(e) = sum over {e' : g(e') = e} f(e')
 // holds by construction and is property-tested in tests/keys_test.cpp.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/check.h"
 #include "packet/keys.h"
 
@@ -75,13 +78,49 @@ struct FieldSel {
   explicit FieldSel(Field f);  // full width
 };
 
+// A partial key as one 128-bit value: the selected bits MSB-first from the
+// top bit of `hi`, zero below total_bits(). Keys of one spec compare in the
+// order query::KeyOrderLess gives their rendered DynKeys.
+struct PackedKey {
+  uint64_t hi = 0;
+  uint64_t lo = 0;
+
+  friend auto operator<=>(const PackedKey&, const PackedKey&) = default;
+};
+
 // A partial key of the 5-tuple full key.
 class TupleKeySpec {
  public:
   TupleKeySpec(std::string name, std::vector<FieldSel> fields);
 
-  // g(.) — extract, mask, and bit-pack the selected fields.
-  DynKey Apply(const FiveTuple& full) const;
+  // g(.) — extract, mask, and concatenate the selected fields. The 5-tuple
+  // is read as one 128-bit value (SrcIP at the top, Proto ending at bit
+  // 24), so each field is a shift of it.
+  PackedKey Pack(const FiveTuple& full) const {
+    const uint8_t* b = full.data();
+    const unsigned __int128 tuple =
+        (static_cast<unsigned __int128>(LoadBE64(b)) << 64) |
+        (static_cast<uint64_t>(LoadBE32(b + 8)) << 32) |
+        (static_cast<uint64_t>(b[12]) << 24);
+    unsigned __int128 acc = 0;
+    for (const Slice& s : slices_) {
+      acc = (acc << s.bits) | ((tuple << s.shift) >> (128 - s.bits));
+    }
+    if (total_bits_ != 0) acc <<= 128 - total_bits_;
+    return {static_cast<uint64_t>(acc >> 64), static_cast<uint64_t>(acc)};
+  }
+
+  // The DynKey of a packed key of this spec: the same bits, big-endian.
+  DynKey Render(const PackedKey& packed) const {
+    DynKey out;
+    StoreBE64(out.buf.data(), packed.hi);
+    StoreBE64(out.buf.data() + 8, packed.lo);
+    out.bits = total_bits_;
+    return out;
+  }
+
+  // g(.) as a DynKey.
+  DynKey Apply(const FiveTuple& full) const { return Render(Pack(full)); }
 
   const std::string& name() const { return name_; }
   uint16_t total_bits() const { return total_bits_; }
@@ -101,8 +140,16 @@ class TupleKeySpec {
   static TupleKeySpec SrcIpPrefix(uint8_t bits);
 
  private:
+  // One non-empty field: its `bits` top bits sit `shift` bits below the
+  // top of the 128-bit tuple.
+  struct Slice {
+    uint8_t shift;
+    uint8_t bits;
+  };
+
   std::string name_;
   std::vector<FieldSel> fields_;
+  std::vector<Slice> slices_;
   uint16_t total_bits_;
 };
 

@@ -14,7 +14,6 @@
 #include "common/cycle_clock.h"
 #include "common/rng.h"
 #include "core/cocosketch.h"
-#include "core/merge.h"
 #include "core/sampled_cocosketch.h"
 #include "core/seed_rotation.h"
 #include "obs/sketch_metrics.h"
@@ -168,35 +167,20 @@ struct Shard {
   DatapathHealth health;
 };
 
-// Folds `sources` into `table`, one MergeAll per hash seed in order of first
-// appearance: shards that share a seed merge position-wise as one sketch,
-// and a shard rotated onto a fresh seed is decoded on its own. With every
-// source on one seed this is a single fold through `rng`. Returns the
-// folds' conflict count and the number of seeds via `seeds`.
-uint64_t FoldEpochSketches(const std::vector<const Sketch*>& sources,
-                           size_t per_shard_memory, size_t d, Rng* rng,
-                           std::unordered_map<FiveTuple, uint64_t>* table,
-                           size_t* seeds) {
-  uint64_t conflicts = 0;
-  std::vector<bool> folded(sources.size(), false);
-  for (size_t i = 0; i < sources.size(); ++i) {
-    if (folded[i]) continue;
-    const uint64_t seed = sources[i]->seed();
-    std::vector<const Sketch*> group;
-    for (size_t j = i; j < sources.size(); ++j) {
-      if (!folded[j] && sources[j]->seed() == seed) {
-        group.push_back(sources[j]);
-        folded[j] = true;
-      }
+// Adds every source's decode to `table` — the union of the shards' decodes.
+// RSS steering gives the shards disjoint flows, and a flow split by a steal
+// or a seed rotation sums, so every shard keeps its own recording capacity
+// and no seed has to match. Returns the number of distinct hash seeds.
+size_t CollectEpoch(const std::vector<const Sketch*>& sources,
+                    std::unordered_map<FiveTuple, uint64_t>* table) {
+  std::vector<uint64_t> seeds;
+  for (const Sketch* sketch : sources) {
+    sketch->DecodeInto(table);
+    if (std::find(seeds.begin(), seeds.end(), sketch->seed()) == seeds.end()) {
+      seeds.push_back(sketch->seed());
     }
-    Sketch snapshot(per_shard_memory, d, seed);
-    const core::MergeStats stats = core::MergeAll(&snapshot, group, rng);
-    COCO_CHECK(stats.ok, "epoch publication merged incompatible shards");
-    for (const auto& [key, value] : snapshot.Decode()) (*table)[key] += value;
-    conflicts += stats.conflicts;
-    ++*seeds;
   }
-  return conflicts;
+  return seeds.size();
 }
 
 void AddHealth(const DatapathHealth& from, DatapathHealth* to) {
@@ -275,8 +259,8 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   for (auto& v : striped) v.reserve(trace.size() / S + 1);
   for (const Packet& p : trace) striped[steering.Shard(p.key)].push_back(p);
 
-  // Triple-buffered per-shard sketches on one shared hash seed, so epoch
-  // publication can merge sketch-level.
+  // Triple-buffered per-shard sketches, on the configured hash seed until a
+  // seed rotation moves a shard off it.
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(S);
   for (size_t s = 0; s < S; ++s) {
@@ -780,10 +764,9 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   }
 
   // ---- Epoch collector: requests rotations on a drained-packet cadence
-  // and folds each published epoch while the writers keep running. ----
+  // and collects each published epoch while the writers keep running. ----
   std::vector<EpochRecord> epochs;
   std::unordered_map<FiveTuple, uint64_t> merged_table;
-  Rng merge_rng(config.seed ^ 0xe90c4ULL);
   const auto all_retired = [&] {
     for (const auto& sh : shards) {
       if (sh->epoch_done.load(std::memory_order_acquire) != kShardRetired) {
@@ -840,9 +823,7 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
         std::vector<const Sketch*> sources;
         sources.reserve(taken.size());
         for (const auto& [s, pub] : taken) sources.push_back(pub.sketch.get());
-        rec.merge_conflicts =
-            FoldEpochSketches(sources, per_shard_memory, config.d, &merge_rng,
-                              &merged_table, &rec.seeds);
+        rec.seeds = CollectEpoch(sources, &merged_table);
         // Recycling re-arms each shard's next rotation; Clear() runs here,
         // on the collector thread, never on a writer.
         for (auto& [s, pub] : taken) {
@@ -873,7 +854,7 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   const double seconds = wall.ElapsedSeconds();
 
   // ---- Final quiescent sweep: leftover published epochs plus the active
-  // sketches, folded as one last epoch record. ----
+  // sketches, collected as one last epoch record. ----
   EpochRecord final_rec;
   final_rec.epoch = last_requested + 1;
   std::vector<EpochShard<FiveTuple>::Published> leftovers;
@@ -892,9 +873,7 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
     ++final_rec.shards_published;
   }
   for (const auto& pub : leftovers) sources.push_back(pub.sketch.get());
-  final_rec.merge_conflicts =
-      FoldEpochSketches(sources, per_shard_memory, config.d, &merge_rng,
-                        &merged_table, &final_rec.seeds);
+  final_rec.seeds = CollectEpoch(sources, &merged_table);
   epochs.push_back(final_rec);
 
   DatapathHealth& health = result.health;

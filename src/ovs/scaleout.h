@@ -23,8 +23,10 @@
 //     writes — so the single-writer invariant holds even while helping.
 //   * Epoch-based rotation (ovs/epoch.h): the collector requests an epoch;
 //     each writer triple-buffer-swaps its sketch at a batch boundary (O(1),
-//     never blocking on readers) and the collector folds the published
-//     shard sketches via core/merge.h, one fold per hash seed.
+//     never blocking on readers) and the collector adds every published
+//     shard sketch's decode to one table: the union of decodes. Steered
+//     shards hold disjoint flows, so each keeps its full recording
+//     capacity, and a flow split by a steal or a seed rotation sums.
 //   * Fault tolerance (docs/ROBUSTNESS.md): ring overflow policies, a per-
 //     shard graceful-degradation ladder, periodic per-shard checkpoints, and
 //     a watchdog that flags stalled shards and respawns killed workers from
@@ -68,9 +70,8 @@ struct ScaleoutConfig {
   bool with_sketch = true;  // false = plain forwarding ("OVS w/o")
   size_t sketch_memory_bytes = 512 * 1024;  // split across shards
   size_t d = 2;
-  // One seed for every shard sketch — epoch publication merges shards
-  // sketch-level (core/merge.h), which requires seed equality. Only a seed
-  // rotation moves a shard off it.
+  // Hash seed of every shard sketch; only a seed rotation moves a shard
+  // off it.
   uint64_t seed = 0x5ca1e0;
   // 0 = derive from `seed` (domain-separated inside FlowSteering).
   uint64_t steering_seed = 0;
@@ -98,7 +99,7 @@ struct ScaleoutConfig {
   size_t steal_batches = 4;
 
   // Epoch rotation: the collector requests a rotation every
-  // `rotation_interval_packets` globally drained packets and folds the
+  // `rotation_interval_packets` globally drained packets and collects the
   // published shard sketches. 0 = no mid-run epochs (one final sweep).
   uint64_t rotation_interval_packets = 0;
 
@@ -205,8 +206,7 @@ struct EpochRecord {
   // the no-torn-reads / conservation invariant of the rotation tests.
   uint64_t applied_weight = 0;
   uint64_t sketch_mass = 0;       // sum of TotalValue over published shards
-  uint64_t merge_conflicts = 0;   // probabilistic key resolutions in the fold
-  size_t seeds = 0;               // hash seeds folded (one fold each)
+  size_t seeds = 0;               // distinct hash seeds among the shards
 };
 
 struct ScaleoutResult {
@@ -238,7 +238,7 @@ struct ScaleoutResult {
   std::vector<EpochRecord> epochs;
   uint64_t total_sketch_mass = 0;
 
-  // Decode of every epoch's folded sketches, accumulated — the
+  // Union of every epoch's shard decodes, accumulated — the
   // control-plane flow table over the whole run (empty without a sketch).
   std::unordered_map<FiveTuple, uint64_t> merged_table;
 

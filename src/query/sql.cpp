@@ -5,6 +5,7 @@
 
 #include "common/bytes.h"
 #include "common/check.h"
+#include "common/rng.h"
 
 namespace coco::query::sql {
 namespace {
@@ -133,6 +134,11 @@ class Parser {
     }
     if (!SameFields(stmt.fields, group_fields)) {
       return Fail("GROUP BY fields must match the selected fields");
+    }
+    size_t key_bits = 0;
+    for (const keys::FieldSel& sel : stmt.fields) key_bits += sel.prefix_bits;
+    if (key_bits > DynKey::kCapacity * 8) {
+      return Fail("GROUP BY key is wider than 128 bits");
     }
 
     if (PeekKeyword("HAVING")) {
@@ -296,19 +302,56 @@ class Parser {
   std::string* error_;
 };
 
-// ---- Row rendering ---------------------------------------------------------
+// ---- GROUP BY --------------------------------------------------------------
 
-// Reads `bits` bits starting at *cursor from a bit-packed DynKey, MSB-first.
-uint64_t ReadBits(const DynKey& key, uint16_t* cursor, uint16_t bits) {
-  uint64_t value = 0;
-  for (uint16_t i = 0; i < bits; ++i) {
-    const uint16_t pos = *cursor + i;
-    const int bit = (key.buf[pos / 8] >> (7 - pos % 8)) & 1;
-    value = (value << 1) | static_cast<uint64_t>(bit);
+struct Group {
+  keys::PackedKey key;
+  uint64_t size = 0;
+};
+
+// SUM(Size) GROUP BY g(k_F) into dense groups, in order of first sight. The
+// index is open addressing with linear probing over group numbers (0 =
+// empty), sized for one group per input row at load <= 1/2, so it never
+// grows. Its hash is keyed with the process seed: decoded flows are
+// attacker-influenced, and a fixed hash would let crafted keys chain.
+std::vector<Group> GroupBy(const FlowTable<FiveTuple>& table,
+                           const keys::TupleKeySpec& spec) {
+  COCO_CHECK(table.size() < UINT32_MAX, "table too large to group");
+  size_t slots_size = 16;
+  while (slots_size < 2 * table.size()) slots_size *= 2;
+  std::vector<uint32_t> slots(slots_size, 0);
+  const size_t mask = slots_size - 1;
+  uint64_t seed_state = ProcessSeed();
+  const uint64_t seed_hi = SplitMix64(seed_state);
+  const uint64_t seed_lo = SplitMix64(seed_state);
+
+  std::vector<Group> groups;
+  groups.reserve(table.size());
+  for (const auto& [full, size] : table) {
+    const keys::PackedKey key = spec.Pack(full);
+    const unsigned __int128 product =
+        static_cast<unsigned __int128>(key.hi ^ seed_hi) * (key.lo ^ seed_lo);
+    size_t i = static_cast<size_t>(static_cast<uint64_t>(product >> 64) ^
+                                   static_cast<uint64_t>(product)) &
+               mask;
+    for (;; i = (i + 1) & mask) {
+      const uint32_t slot = slots[i];
+      if (slot == 0) {
+        groups.push_back({key, size});
+        slots[i] = static_cast<uint32_t>(groups.size());
+        break;
+      }
+      Group& group = groups[slot - 1];
+      if (group.key == key) {
+        group.size += size;
+        break;
+      }
+    }
   }
-  *cursor = static_cast<uint16_t>(*cursor + bits);
-  return value;
+  return groups;
 }
+
+// ---- Row rendering ---------------------------------------------------------
 
 std::string FieldName(const keys::FieldSel& sel) {
   std::string name;
@@ -327,12 +370,18 @@ std::string FieldName(const keys::FieldSel& sel) {
 }
 
 std::vector<std::string> RenderFields(const std::vector<keys::FieldSel>& sels,
-                                      const DynKey& key) {
+                                      const keys::PackedKey& key) {
   std::vector<std::string> out;
   out.reserve(sels.size());
-  uint16_t cursor = 0;
+  // The unread fields, MSB-first from the top bit.
+  unsigned __int128 rest =
+      (static_cast<unsigned __int128>(key.hi) << 64) | key.lo;
   for (const keys::FieldSel& sel : sels) {
-    const uint64_t raw = ReadBits(key, &cursor, sel.prefix_bits);
+    const uint64_t raw =
+        sel.prefix_bits == 0
+            ? 0
+            : static_cast<uint64_t>(rest >> (128 - sel.prefix_bits));
+    rest <<= sel.prefix_bits;
     if (sel.field == keys::Field::kSrcIp || sel.field == keys::Field::kDstIp) {
       // Re-left-align the prefix inside 32 bits for dotted-decimal display.
       const uint32_t addr =
@@ -362,39 +411,42 @@ std::optional<Statement> Parse(const std::string& text, std::string* error) {
 
 Result Execute(const Statement& statement,
                const FlowTable<FiveTuple>& table) {
-  keys::TupleKeySpec spec("sql", statement.fields);
-  FlowTable<DynKey> aggregated = Aggregate(table, spec);
+  const keys::TupleKeySpec spec("sql", statement.fields);
+  std::vector<Group> groups = GroupBy(table, spec);
+  if (statement.having_at_least) {
+    std::erase_if(groups, [&](const Group& g) {
+      return g.size < *statement.having_at_least;
+    });
+  }
+  size_t keep = groups.size();
+  if (statement.limit) keep = std::min(keep, *statement.limit);
+  if (statement.order_by_size_desc) {
+    // Ties broken by key so output is stable across runs: for keys of one
+    // spec, PackedKey order is query::KeyOrderLess's order.
+    const auto by_size_desc = [](const Group& a, const Group& b) {
+      if (a.size != b.size) return a.size > b.size;
+      return a.key < b.key;
+    };
+    if (keep < groups.size()) {
+      std::partial_sort(groups.begin(), groups.begin() + keep, groups.end(),
+                        by_size_desc);
+    } else {
+      std::sort(groups.begin(), groups.end(), by_size_desc);
+    }
+  }
 
   Result result;
   for (const keys::FieldSel& sel : statement.fields) {
     result.column_names.push_back(FieldName(sel));
   }
   result.column_names.push_back("SUM(Size)");
-
-  result.rows.reserve(aggregated.size());
-  for (const auto& [key, size] : aggregated) {
-    if (statement.having_at_least && size < *statement.having_at_least) {
-      continue;
-    }
+  result.rows.reserve(keep);
+  for (size_t i = 0; i < keep; ++i) {
     ResultRow row;
-    row.key = key;
-    row.size = size;
+    row.key = spec.Render(groups[i].key);
+    row.size = groups[i].size;
+    row.field_text = RenderFields(statement.fields, groups[i].key);
     result.rows.push_back(std::move(row));
-  }
-  if (statement.order_by_size_desc) {
-    // Ties broken by key (query::KeyOrderLess) so output is stable across
-    // runs — result.rows starts in hash-map order.
-    std::sort(result.rows.begin(), result.rows.end(),
-              [](const ResultRow& a, const ResultRow& b) {
-                if (a.size != b.size) return a.size > b.size;
-                return KeyOrderLess(a.key, b.key);
-              });
-  }
-  if (statement.limit && result.rows.size() > *statement.limit) {
-    result.rows.resize(*statement.limit);
-  }
-  for (ResultRow& row : result.rows) {
-    row.field_text = RenderFields(statement.fields, row.key);
   }
   return result;
 }

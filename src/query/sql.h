@@ -13,10 +13,18 @@
 //   <field> := SrcIP[/bits] | DstIP[/bits] | SrcPort | DstPort | Proto
 //
 // The selected fields must match the GROUP BY fields (that is the only
-// aggregation §4.3's queries need). Keywords are case-insensitive. The
-// executor compiles the field list to a keys::TupleKeySpec, runs the
-// aggregation over a decoded flow table, and returns displayable rows
-// (DynKeys are unpacked back into dotted-decimal / numeric field text).
+// aggregation §4.3's queries need), and together select at most 128 bits.
+// Keywords are case-insensitive.
+//
+// The executor compiles the field list to a keys::TupleKeySpec and groups
+// the decoded flow table by each row's packed partial key
+// (TupleKeySpec::Pack, one 128-bit value) in a flat open-addressing table:
+// no node or DynKey per group. HAVING then filters the dense groups, ORDER
+// BY SUM(Size) DESC partially sorts the survivors (only the first LIMIT k
+// need order; ties by key, which is query::KeyOrderLess's order), and only
+// the returned rows get a DynKey and their field text (dotted-decimal /
+// numeric). Without ORDER BY, rows come in order of first appearance in
+// the table's iteration.
 #pragma once
 
 #include <cstdint>

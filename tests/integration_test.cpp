@@ -3,6 +3,7 @@
 // check mirroring the headline comparison of §7.2.
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/sizes.h"
 #include "core/cocosketch.h"
 #include "core/hw_cocosketch.h"
@@ -71,18 +72,33 @@ TEST_F(HeavyHitterEndToEnd, CocoBeatsPerKeyCountMinAtSixKeys) {
 }
 
 TEST_F(HeavyHitterEndToEnd, HwVariantWithinTenPercentOfBasic) {
-  // §7.5: removing circular dependencies costs <10% F1.
-  core::CocoSketch<FiveTuple> basic(KiB(500), 2);
-  core::HwCocoSketch<FiveTuple> hw(KiB(500), 2);
-  for (const Packet& p : trace_) {
-    basic.Update(p.key, p.weight);
-    hw.Update(p.key, p.weight);
+  // §7.5 / Fig. 18(a): removing circular dependencies costs <10% F1. The
+  // claim is about each variant's expected F1, so the test compares means
+  // over independent sketch seeds (drawn from the process seed). At 500 KiB
+  // the gap averages ~0.093 with a per-seed spread of ~0.006, so a single
+  // seed crosses the margin about one time in eight.
+  constexpr int kSeeds = 16;
+  const auto f1 = [&](const auto& sketch) {
+    return metrics::MeanAccuracy(query::ScoreHeavyHittersPerKey(
+                                     sketch.Decode(), truth_, specs_, 1e-4))
+        .f1;
+  };
+  uint64_t state = ProcessSeed();
+  double basic_f1 = 0.0;
+  double hw_f1 = 0.0;
+  for (int i = 0; i < kSeeds; ++i) {
+    const uint64_t seed = SplitMix64(state);
+    core::CocoSketch<FiveTuple> basic(KiB(500), 2, seed);
+    core::HwCocoSketch<FiveTuple> hw(KiB(500), 2, core::DivisionMode::kExact,
+                                     seed);
+    for (const Packet& p : trace_) {
+      basic.Update(p.key, p.weight);
+      hw.Update(p.key, p.weight);
+    }
+    basic_f1 += f1(basic) / kSeeds;
+    hw_f1 += f1(hw) / kSeeds;
   }
-  const auto basic_mean = metrics::MeanAccuracy(
-      query::ScoreHeavyHittersPerKey(basic.Decode(), truth_, specs_, 1e-4));
-  const auto hw_mean = metrics::MeanAccuracy(
-      query::ScoreHeavyHittersPerKey(hw.Decode(), truth_, specs_, 1e-4));
-  EXPECT_GT(hw_mean.f1, basic_mean.f1 - 0.10);
+  EXPECT_GT(hw_f1, basic_f1 - 0.10);
 }
 
 TEST(HeavyChangeEndToEnd, CocoDetectsChanges) {

@@ -5,10 +5,13 @@
 
 #include <cstring>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "keys/key_spec.h"
 #include "packet/keys.h"
+#include "query/flow_table.h"
 #include "trace/ground_truth.h"
 
 namespace coco {
@@ -152,6 +155,77 @@ TEST(PrefixPairSpec, SplitPointDisambiguates) {
   const DynKey a = PrefixPairSpec(8, 16).Apply(key);
   const DynKey b = PrefixPairSpec(16, 8).Apply(key);
   EXPECT_FALSE(a == b);
+}
+
+// --- Apply against a bit-by-bit packer -----------------------------------
+
+// The value and width of one 5-tuple field, read through the accessors.
+std::pair<uint32_t, uint16_t> FieldValue(const FiveTuple& t, Field f) {
+  switch (f) {
+    case Field::kSrcIp: return {t.src_ip(), 32};
+    case Field::kDstIp: return {t.dst_ip(), 32};
+    case Field::kSrcPort: return {t.src_port(), 16};
+    case Field::kDstPort: return {t.dst_port(), 16};
+    case Field::kProto: return {t.proto(), 8};
+  }
+  return {0, 0};
+}
+
+// g(.) one bit at a time: each field's top prefix_bits bits, MSB-first,
+// appended in selection order.
+DynKey PackBitByBit(const FiveTuple& t, const std::vector<FieldSel>& sels) {
+  DynKey out;
+  for (const FieldSel& sel : sels) {
+    const auto [value, width] = FieldValue(t, sel.field);
+    for (uint16_t i = 0; i < sel.prefix_bits; ++i) {
+      if ((value >> (width - 1 - i)) & 1) {
+        out.buf[out.bits / 8] |= static_cast<uint8_t>(0x80 >> (out.bits % 8));
+      }
+      ++out.bits;
+    }
+  }
+  return out;
+}
+
+TEST(TupleKeySpec, ApplyMatchesBitByBitPackerOnRandomSubsets) {
+  // Every prefix length 0..32 on SrcIP, each with random field subsets in
+  // random order (DstIP with a random prefix). Also checks that PackedKey
+  // order is query::KeyOrderLess's order for keys of one spec.
+  Rng rng(0xb175);
+  const Field all[] = {Field::kSrcIp, Field::kDstIp, Field::kSrcPort,
+                       Field::kDstPort, Field::kProto};
+  for (uint8_t prefix = 0; prefix <= 32; ++prefix) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<FieldSel> sels;
+      for (const Field f : all) {
+        if (f != Field::kSrcIp && rng.Bernoulli(0.5)) continue;
+        const uint8_t bits =
+            f == Field::kSrcIp   ? prefix
+            : f == Field::kDstIp ? static_cast<uint8_t>(rng.NextBelow(33))
+                                 : static_cast<uint8_t>(keys::FieldBits(f));
+        sels.push_back(FieldSel(f, bits));
+      }
+      for (size_t i = sels.size(); i > 1; --i) {
+        std::swap(sels[i - 1], sels[rng.NextBelow(i)]);
+      }
+      const TupleKeySpec spec("random", sels);
+      FiveTuple prev;
+      for (int k = 0; k < 50; ++k) {
+        const FiveTuple t(static_cast<uint32_t>(rng.Next()),
+                          static_cast<uint32_t>(rng.Next()),
+                          static_cast<uint16_t>(rng.Next()),
+                          static_cast<uint16_t>(rng.Next()),
+                          static_cast<uint8_t>(rng.Next()));
+        const DynKey want = PackBitByBit(t, sels);
+        ASSERT_EQ(spec.Apply(t), want)
+            << spec.Apply(t).ToHex() << " vs " << want.ToHex() << " prefix "
+            << static_cast<int>(prefix);
+        EXPECT_EQ(spec.Pack(t) < spec.Pack(prev),
+                  query::KeyOrderLess(want, spec.Apply(prev)));
+        prev = t;
+      }
+    }
+  }
 }
 
 // --- Property: the subset-sum identity of Definition 1 -------------------

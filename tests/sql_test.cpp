@@ -1,9 +1,19 @@
 // Tests for the SQL front-end: tokenizer/parser acceptance and rejection,
 // executor semantics (aggregation, HAVING, ORDER BY, LIMIT), and row
-// rendering — including the Fig. 7 worked example expressed in SQL.
+// rendering — including the Fig. 7 worked example expressed in SQL, and
+// Execute against a reference GROUP BY over a decoded sketch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "common/sizes.h"
+#include "core/cocosketch.h"
 #include "query/sql.h"
+#include "trace/generators.h"
 
 namespace coco::query::sql {
 namespace {
@@ -174,6 +184,180 @@ TEST(SqlExecute, TotalMassPreserved) {
   uint64_t total = 0;
   for (const auto& row : result->rows) total += row.size;
   EXPECT_EQ(total, 521u + 520 + 305 + 463 + 856);
+}
+
+// ---- Execute against a reference GROUP BY -----------------------------------
+
+using Rows = std::vector<std::pair<DynKey, uint64_t>>;
+
+// The statement's answer by the definition: query::Aggregate, then HAVING,
+// then a sort by size descending with KeyOrderLess, then LIMIT.
+Rows ReferenceRows(const FlowTable<FiveTuple>& table,
+                   const Statement& stmt) {
+  Rows rows;
+  const keys::TupleKeySpec spec("reference", stmt.fields);
+  for (const auto& [key, size] : Aggregate(table, spec)) {
+    if (!stmt.having_at_least || size >= *stmt.having_at_least) {
+      rows.emplace_back(key, size);
+    }
+  }
+  if (stmt.order_by_size_desc) {
+    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+      if (a.second != b.second) return a.second > b.second;
+      return KeyOrderLess(a.first, b.first);
+    });
+  }
+  if (stmt.limit && rows.size() > *stmt.limit) rows.resize(*stmt.limit);
+  return rows;
+}
+
+// A row's field text, read from its DynKey one bit at a time.
+std::vector<std::string> ReferenceText(const std::vector<keys::FieldSel>& sels,
+                                       const DynKey& key) {
+  std::vector<std::string> out;
+  uint16_t pos = 0;
+  for (const keys::FieldSel& sel : sels) {
+    uint64_t value = 0;
+    for (uint16_t i = 0; i < sel.prefix_bits; ++i, ++pos) {
+      value = (value << 1) | ((key.buf[pos / 8] >> (7 - pos % 8)) & 1);
+    }
+    const bool ip =
+        sel.field == keys::Field::kSrcIp || sel.field == keys::Field::kDstIp;
+    if (!ip) {
+      out.push_back(std::to_string(value));
+      continue;
+    }
+    const uint32_t addr =
+        static_cast<uint32_t>(value << (32 - sel.prefix_bits));
+    std::string text = Ipv4ToString(addr);
+    if (sel.prefix_bits < 32) text += "/" + std::to_string(sel.prefix_bits);
+    out.push_back(text);
+  }
+  return out;
+}
+
+// Checks Execute(stmt) against ReferenceRows: row for row under ORDER BY;
+// otherwise as a multiset, or with a LIMIT as distinct rows drawn from the
+// unlimited answer.
+void ExpectMatchesReference(const FlowTable<FiveTuple>& table,
+                            const Statement& stmt, const std::string& text) {
+  SCOPED_TRACE(text);
+  const Result result = Execute(stmt, table);
+  ASSERT_EQ(result.column_names.size(), stmt.fields.size() + 1);
+  for (const ResultRow& row : result.rows) {
+    ASSERT_EQ(row.field_text, ReferenceText(stmt.fields, row.key));
+  }
+  if (stmt.order_by_size_desc) {
+    const Rows want = ReferenceRows(table, stmt);
+    ASSERT_EQ(result.rows.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(result.rows[i].key == want[i].first) << "row " << i;
+      ASSERT_EQ(result.rows[i].size, want[i].second) << "row " << i;
+    }
+    return;
+  }
+  Statement unlimited = stmt;
+  unlimited.limit.reset();
+  std::unordered_map<DynKey, uint64_t> want;
+  for (const auto& [key, size] : ReferenceRows(table, unlimited)) {
+    want.emplace(key, size);
+  }
+  std::unordered_map<DynKey, uint64_t> got;
+  for (const ResultRow& row : result.rows) {
+    ASSERT_TRUE(got.emplace(row.key, row.size).second) << "duplicate group";
+  }
+  if (!stmt.limit || *stmt.limit >= want.size()) {
+    EXPECT_EQ(got, want);
+    return;
+  }
+  EXPECT_EQ(got.size(), *stmt.limit);
+  for (const auto& [key, size] : got) {
+    const auto it = want.find(key);
+    ASSERT_NE(it, want.end());
+    EXPECT_EQ(size, it->second);
+  }
+}
+
+TEST(SqlExecute, MatchesReferenceGroupByOnDecodedSketch) {
+  // A decoded 512 KiB sketch; the benchmark's nine statements plus odd
+  // prefixes (/0, /3, /12, /28, /31) and field orders, each with HAVING,
+  // ORDER BY and LIMIT on and off.
+  core::CocoSketch<FiveTuple> sketch(KiB(512), 2, 0x5e1ec7);
+  const auto trace =
+      trace::GenerateTrace(trace::TraceConfig::CaidaLike(400'000));
+  sketch.UpdateBatch(trace.data(), trace.size());
+  const FlowTable<FiveTuple> table = sketch.Decode();
+  ASSERT_GT(table.size(), 10'000u);
+  const uint64_t threshold = (sketch.TotalValue() + 9'999) / 10'000;
+
+  const char* const keys[] = {
+      "SrcIP, DstIP, SrcPort, DstPort, Proto",
+      "SrcIP, DstIP",
+      "SrcIP, SrcPort",
+      "DstIP, DstPort",
+      "SrcIP",
+      "DstIP",
+      "SrcIP/8",
+      "SrcIP/16",
+      "SrcIP/24",
+      "SrcIP/28, SrcPort",
+      "DstIP/12, Proto, SrcIP/3",
+      "SrcIP/0, DstIP/31",
+      "Proto",
+  };
+  for (const char* key : keys) {
+    for (int clauses = 0; clauses < 8; ++clauses) {
+      std::string text = std::string("SELECT ") + key +
+                         ", SUM(Size) FROM flows GROUP BY " + key;
+      if (clauses & 1) {
+        text += " HAVING SUM(Size) >= " + std::to_string(threshold);
+      }
+      if (clauses & 2) text += " ORDER BY SUM(Size) DESC";
+      if (clauses & 4) text += " LIMIT 20";
+      std::string error;
+      const auto stmt = Parse(text, &error);
+      ASSERT_TRUE(stmt.has_value()) << error;
+      ExpectMatchesReference(table, *stmt, text);
+    }
+  }
+}
+
+TEST(SqlExecute, SizeTiesBreakByKeyOrder) {
+  // 64 sources of equal size: under ORDER BY ... LIMIT the rows are the
+  // smallest keys in KeyOrderLess order, which for keys of one length is
+  // the packed key's numeric order.
+  FlowTable<FiveTuple> table;
+  for (uint32_t i = 0; i < 64; ++i) {
+    const uint32_t src = (0xc0a8u << 16) | ((i * 37) % 64) << 4;
+    table[FiveTuple(src, i, 1000, 80, 6)] = 7;
+    table[FiveTuple(src, i, 2000, 80, 6)] = 4;
+  }
+  table[FiveTuple(1, 2, 3, 4, 6)] = 100;
+  std::string error;
+  const std::string text =
+      "SELECT SrcIP/28, SUM(Size) FROM flows GROUP BY SrcIP/28 "
+      "ORDER BY SUM(Size) DESC LIMIT 6";
+  const auto stmt = Parse(text, &error);
+  ASSERT_TRUE(stmt.has_value()) << error;
+  ExpectMatchesReference(table, *stmt, text);
+  const Result result = Execute(*stmt, table);
+  ASSERT_EQ(result.rows.size(), 6u);
+  EXPECT_EQ(result.rows[0].size, 100u);
+  EXPECT_EQ(result.rows[0].field_text[0], "0.0.0.0/28");
+  for (size_t i = 1; i < 6; ++i) {
+    EXPECT_EQ(result.rows[i].size, 11u);
+    EXPECT_EQ(result.rows[i].field_text[0],
+              "192.168.0." + std::to_string(16 * (i - 1)) + "/28");
+  }
+}
+
+TEST(SqlParse, RejectsKeyWiderThan128Bits) {
+  std::string error;
+  EXPECT_FALSE(Parse(
+      "SELECT SrcIP, DstIP, SrcIP, DstIP, SrcPort, SUM(Size) FROM t "
+      "GROUP BY SrcIP, DstIP, SrcIP, DstIP, SrcPort",
+      &error));
+  EXPECT_NE(error.find("128 bits"), std::string::npos);
 }
 
 TEST(SqlFormat, ProducesAlignedTable) {
