@@ -16,6 +16,7 @@
 //
 // Build & run:  ./build/examples/ovs_pipeline [metrics-out.json]
 #include <cstdio>
+#include <string_view>
 
 #include "common/sizes.h"
 #include "core/cocosketch.h"
@@ -75,8 +76,8 @@ int main(int argc, char** argv) {
   const auto result = ovs::RunScaleout(config, packets);
   PrintHealth(result, config);
 
-  // The datapath folds and decodes its shard sketches on exit — query the
-  // merged control-plane table directly.
+  // The datapath adds up its shard sketches' decodes on exit — query that
+  // control-plane table directly.
   const auto by_dst =
       query::Aggregate(result.merged_table, keys::TupleKeySpec::DstIp());
   std::printf("\ntop destinations across the datapath's traffic:\n");
@@ -119,14 +120,25 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(view.rx_dropped),
               view.Holds() ? "OK" : "VIOLATED");
 
-  // Export the faulted run's full snapshot as machine-readable JSON.
+  // Export the faulted run's full snapshot as machine-readable JSON: one
+  // compact line on stdout, or the pretty form written to the named file.
+  const bool to_stdout = std::string_view(metrics_sink) == "-";
   std::printf("\nmetrics snapshot (%s):\n",
-              metrics_sink[0] == '-' ? "stdout" : metrics_sink);
-  obs::SnapshotExporter exporter(&registry, metrics_sink);
-  if (!exporter.WriteNow()) {
+              to_stdout ? "stdout" : metrics_sink);
+  std::FILE* out = to_stdout ? stdout : std::fopen(metrics_sink, "w");
+  if (out == nullptr) {
     std::fprintf(stderr, "cannot write metrics snapshot to %s\n",
                  metrics_sink);
     return 1;
+  }
+  std::fputs(
+      obs::ToJson(obs::CaptureSnapshot(registry), /*pretty=*/!to_stdout)
+          .c_str(),
+      out);
+  if (to_stdout) {
+    std::fputc('\n', out);
+  } else {
+    std::fclose(out);
   }
   return view.Holds() ? 0 : 1;
 }

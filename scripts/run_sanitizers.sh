@@ -12,8 +12,8 @@
 #             registry, and the network-wide agent/collector transports —
 #             ovs_test, batch_test, obs_test, netwide_test,
 #             adversarial_test, scaleout_test
-#   address — ASan+UBSan over the deserializers, fuzz loops, the snapshot
-#             JSON reader, the frame/delta decoders, the key probes' word
+#   address — ASan+UBSan over the deserializers, fuzz loops, the
+#             frame/delta decoders, the key probes' word
 #             loads against the padded SoA key plane, and the hostile trace
 #             generators (fuzz_test plus the same six, for free)
 #

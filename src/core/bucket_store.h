@@ -199,6 +199,12 @@ class BucketStore {
     return stats;
   }
 
+  // Size of the SerializeState() image: header plus one key and BE32 value
+  // per bucket.
+  size_t StateImageBytes() const {
+    return kStateHeaderBytes + buckets_.size() * BucketBytes();
+  }
+
   // Control-plane readout: a sealed image of the bucket state (checksummed
   // header, core/state_image.h, then key bytes + BE32 value per bucket in
   // index order), the payload a switch would ship to the controller — and
@@ -206,8 +212,7 @@ class BucketStore {
   // padding never reaches the image, so images interoperate with the seed's
   // array-of-structs format.
   std::vector<uint8_t> SerializeState() const {
-    std::vector<uint8_t> out(kStateHeaderBytes +
-                             buckets_.size() * BucketBytes());
+    std::vector<uint8_t> out(StateImageBytes());
     uint8_t* p = out.data() + kStateHeaderBytes;
     for (size_t i = 0; i < buckets_.size(); ++i, p += BucketBytes()) {
       std::memcpy(p, buckets_.KeyBytes(i), Key::kSize);

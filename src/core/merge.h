@@ -29,11 +29,8 @@
 // the same per-array rule.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -128,12 +125,10 @@ MergeStats MergeSketches(HwCocoSketch<Key>* dst, const HwCocoSketch<Key>& src,
   return internal::MergeBucketArrays(dst, src, rng);
 }
 
-// N-way merge for epoch publication (ovs/scaleout.h): fold every source
-// shard into `dst`, accumulating stats. All sources must share geometry and
-// seed with dst; the first incompatible source stops the fold with ok ==
-// false (dst then holds the partial merge of the sources before it — the
-// scale-out collector treats that as a hard protocol error, since shards of
-// one datapath are constructed identically by design).
+// N-way merge: fold every source into `dst`, accumulating stats. All
+// sources must share geometry and seed with dst; the first incompatible
+// source stops the fold with ok == false (dst then holds the partial merge
+// of the sources before it).
 template <typename Sketch>
 MergeStats MergeAll(Sketch* dst, const std::vector<const Sketch*>& sources,
                     Rng* rng) {
@@ -152,43 +147,6 @@ MergeStats MergeAll(Sketch* dst, const std::vector<const Sketch*>& sources,
     total.saturated += s.saturated;
   }
   return total;
-}
-
-// USS merge baseline: combine decoded entry sets and collapse back down to
-// `capacity` entries with the unbiased pairwise rule — repeatedly fold the
-// two smallest entries into one carrying their combined mass, keeping each
-// key with probability proportional to its contribution (the same rule USS
-// applies on arrival, and the d = all-buckets degenerate case of the bucket
-// merge above). O(n log n) sort + O(n - capacity) collapses; control-plane
-// cost only.
-template <typename Key>
-std::vector<std::pair<Key, uint64_t>> MergeUssEntries(
-    const std::unordered_map<Key, uint64_t>& a,
-    const std::unordered_map<Key, uint64_t>& b, size_t capacity, Rng* rng) {
-  std::unordered_map<Key, uint64_t> combined = a;
-  for (const auto& [key, value] : b) combined[key] += value;
-  std::vector<std::pair<Key, uint64_t>> entries(combined.begin(),
-                                                combined.end());
-  std::sort(entries.begin(), entries.end(), [](const auto& x, const auto& y) {
-    return x.second < y.second;
-  });
-  size_t head = 0;  // entries[head..] is the live ascending-sorted set
-  while (entries.size() - head > capacity && entries.size() - head >= 2) {
-    auto& small = entries[head];
-    auto& next = entries[head + 1];
-    const uint64_t sum = small.second + next.second;
-    if (rng->NextBelow(sum) < small.second) next.first = small.first;
-    next.second = sum;
-    ++head;
-    // Restore sorted order: bubble the grown entry right while larger than
-    // its successor.
-    for (size_t i = head; i + 1 < entries.size() &&
-                          entries[i].second > entries[i + 1].second;
-         ++i) {
-      std::swap(entries[i], entries[i + 1]);
-    }
-  }
-  return {entries.begin() + static_cast<ptrdiff_t>(head), entries.end()};
 }
 
 }  // namespace coco::core

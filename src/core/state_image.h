@@ -94,10 +94,4 @@ inline bool PeekStateImageHeader(const std::vector<uint8_t>& image,
   return *d >= 1 && *l >= 1;
 }
 
-inline bool PeekStateImageGeometry(const std::vector<uint8_t>& image,
-                                   uint64_t* d, uint64_t* l) {
-  uint64_t seed = 0;
-  return PeekStateImageHeader(image, d, l, &seed);
-}
-
 }  // namespace coco::core

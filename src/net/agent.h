@@ -74,7 +74,9 @@ class Agent {
     epoch_gauge_->Set(static_cast<double>(epoch_));
     if (pending_) SupersedePending();
 
-    const std::vector<uint8_t> full = BuildFullPayload(*sketch_);
+    // The full image is sealed only when it is sent; the delta is compared
+    // against its size, which the geometry fixes.
+    const size_t full_bytes = sketch_->StateImageBytes();
     std::vector<uint8_t> payload;
     bool is_full = true;
     if (!need_full_ &&
@@ -83,14 +85,14 @@ class Agent {
       std::vector<uint8_t> delta =
           BuildDeltaPayload(*sketch_, last_acked_epoch_);
       delta_ratio_->Set(static_cast<double>(delta.size()) /
-                        static_cast<double>(full.size()));
+                        static_cast<double>(full_bytes));
       delta_bytes_->Observe(delta.size());
-      if (delta.size() < full.size()) {
+      if (delta.size() < full_bytes) {
         payload = std::move(delta);
         is_full = false;
       }
     }
-    if (is_full) payload = full;
+    if (is_full) payload = BuildFullPayload(*sketch_);
 
     Frame frame;
     frame.type = is_full ? FrameType::kFullState : FrameType::kDelta;

@@ -17,10 +17,11 @@
 // A corrupt or stale frame is therefore rejected and re-requested, never
 // merged.
 //
-// Queries: MergedSketch() clones the first replica and folds the rest in via
-// core::MergeSketches; Query() runs the §4.3 SQL front-end over the merged
-// decode. Everything is instrumented through obs (frames by outcome, bytes,
-// merge latency, conservation).
+// Queries: MergedSketch() folds every replica into a fresh sketch via
+// core::MergeSketches, with conflict coins from a fresh Rng(merge_seed), so
+// the same replicas always merge the same way; Query() runs the §4.3 SQL
+// front-end over the merged decode. Everything is instrumented through obs
+// (frames by outcome, bytes, merge latency, conservation).
 #pragma once
 
 #include <chrono>
@@ -59,7 +60,7 @@ class Collector {
 
   Collector(const Options& options, CollectorTransport* transport,
             obs::Registry* registry)
-      : options_(options), transport_(transport), merge_rng_(options.merge_seed) {
+      : options_(options), transport_(transport) {
     COCO_CHECK(transport != nullptr && registry != nullptr,
                "Collector needs a transport and a registry");
     COCO_CHECK(options.memory_bytes > 0, "collector needs the sketch geometry");
@@ -108,17 +109,18 @@ class Collector {
     agents_alive_->Set(static_cast<double>(alive));
   }
 
-  // Sketch-level merge of every replica, in agent-id order (deterministic
-  // given the merge seed).
+  // Sketch-level merge of every replica, in agent-id order. Every merge
+  // draws its conflict coins from a fresh Rng(merge_seed), so the result
+  // depends only on the replicas and the merge seed.
   Sketch MergedSketch() {
     const auto start = std::chrono::steady_clock::now();
     Sketch merged(options_.memory_bytes, options_.d, options_.seed);
+    Rng rng(options_.merge_seed);
     for (auto& [id, agent] : agents_) {
       if (!agent.replica) continue;
       const core::MergeStats stats =
-          core::MergeSketches(&merged, *agent.replica, &merge_rng_);
+          core::MergeSketches(&merged, *agent.replica, &rng);
       COCO_CHECK(stats.ok, "replica geometry drifted from collector options");
-      merge_conflicts_ += stats.conflicts;
       merge_saturated_ += stats.saturated;
     }
     merge_latency_us_->Observe(static_cast<uint64_t>(
@@ -309,9 +311,7 @@ class Collector {
   Options options_;
   CollectorTransport* transport_;
   FrameReader reader_;
-  Rng merge_rng_;
   std::map<uint32_t, AgentState> agents_;  // ordered: deterministic merges
-  uint64_t merge_conflicts_ = 0;
   uint64_t merge_saturated_ = 0;
 
   obs::Counter* frames_ok_;

@@ -69,7 +69,6 @@ class TcpCollectorTransport : public CollectorTransport {
   bool SendTo(uint32_t agent_id, const std::vector<uint8_t>& frame) override;
   void Tick() override;
 
-  size_t ConnectionCount() const { return connections_.size(); }
   const TcpStats& stats() const { return stats_; }
 
  private:

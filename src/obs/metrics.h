@@ -13,8 +13,8 @@
 //     fixed-size — no dynamic boundaries to configure or serialize.
 //
 // The Registry is the composition root: subsystems register under dotted
-// names ("ovs.q0.exact", "core.sketch.load_factor") and the snapshot
-// exporter (obs/snapshot.h) serializes the whole registry to JSON.
+// names ("ovs.q0.exact", "core.sketch.load_factor"); obs/snapshot.h
+// captures the whole registry and renders it as JSON.
 #pragma once
 
 #include <atomic>
@@ -110,7 +110,7 @@ class Histogram {
 // Named-metric registry. Get* is create-or-get under a mutex (registration
 // is control-plane); returned pointers stay valid until the Registry dies.
 // Counters, gauges, and histograms live in separate namespaces. Names are
-// restricted to [A-Za-z0-9._-] so the JSON exporter never needs escaping.
+// restricted to [A-Za-z0-9._-] so ToJson never needs escaping.
 class Registry {
  public:
   Counter* GetCounter(std::string_view name) {

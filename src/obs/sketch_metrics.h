@@ -1,6 +1,6 @@
 // Bridges core::SketchStats into the obs registry: one call publishes a
 // sketch's occupancy / load-factor / churn readout as gauges under a dotted
-// prefix, so periodic exporters pick the sketch state up alongside the
+// prefix, so a registry snapshot picks the sketch state up alongside the
 // datapath counters.
 //
 //   obs::PublishSketchStats(&registry, "ovs.q0.sketch", sketch.Stats());

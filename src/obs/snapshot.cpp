@@ -1,12 +1,8 @@
 #include "obs/snapshot.h"
 
-#include <cctype>
-#include <chrono>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iterator>
 
 namespace coco::obs {
@@ -50,131 +46,6 @@ void AppendFmt(std::string* out, const char* fmt, ...) {
 void AppendDouble(std::string* out, double v) {
   AppendFmt(out, "%.17g", v);
 }
-
-// Minimal recursive-descent reader for the exact shape ToJson emits.
-class Reader {
- public:
-  explicit Reader(const std::string& text) : p_(text.c_str()) {}
-
-  bool Parse(Snapshot* out) {
-    return Expect('{') && ParseSection("counters", out) && Expect(',') &&
-           ParseSection("gauges", out) && Expect(',') &&
-           ParseSection("histograms", out) && Expect('}');
-  }
-
- private:
-  void SkipWs() {
-    while (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r') ++p_;
-  }
-
-  bool Expect(char c) {
-    SkipWs();
-    if (*p_ != c) return false;
-    ++p_;
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (*p_ != '"') return false;
-    ++p_;
-    const char* start = p_;
-    while (*p_ != '"' && *p_ != '\0') ++p_;  // names need no escape handling
-    if (*p_ != '"') return false;
-    out->assign(start, static_cast<size_t>(p_ - start));
-    ++p_;
-    return true;
-  }
-
-  bool ParseU64(uint64_t* out) {
-    SkipWs();
-    if (!std::isdigit(static_cast<unsigned char>(*p_))) return false;
-    char* end = nullptr;
-    *out = std::strtoull(p_, &end, 10);
-    p_ = end;
-    return true;
-  }
-
-  bool ParseDouble(double* out) {
-    SkipWs();
-    char* end = nullptr;
-    *out = std::strtod(p_, &end);
-    if (end == p_) return false;
-    p_ = end;
-    return true;
-  }
-
-  bool ParseHistogram(HistogramSnapshot* out) {
-    std::string key;
-    if (!Expect('{') || !ParseString(&key) || key != "count" ||
-        !Expect(':') || !ParseU64(&out->count) || !Expect(',') ||
-        !ParseString(&key) || key != "sum" || !Expect(':') ||
-        !ParseU64(&out->sum) || !Expect(',') || !ParseString(&key) ||
-        key != "buckets" || !Expect(':') || !Expect('[')) {
-      return false;
-    }
-    SkipWs();
-    if (*p_ == ']') {
-      ++p_;
-      return Expect('}');
-    }
-    for (;;) {
-      uint64_t bound = 0;
-      uint64_t count = 0;
-      if (!Expect('[') || !ParseU64(&bound) || !Expect(',') ||
-          !ParseU64(&count) || !Expect(']')) {
-        return false;
-      }
-      out->buckets.emplace_back(bound, count);
-      SkipWs();
-      if (*p_ == ',') {
-        ++p_;
-        continue;
-      }
-      break;
-    }
-    return Expect(']') && Expect('}');
-  }
-
-  // Parses `"label": { "name": value, ... }` into the matching map.
-  bool ParseSection(const char* label, Snapshot* out) {
-    std::string key;
-    if (!ParseString(&key) || key != label || !Expect(':') || !Expect('{')) {
-      return false;
-    }
-    SkipWs();
-    if (*p_ == '}') {
-      ++p_;
-      return true;
-    }
-    for (;;) {
-      std::string name;
-      if (!ParseString(&name) || !Expect(':')) return false;
-      if (std::strcmp(label, "counters") == 0) {
-        uint64_t v = 0;
-        if (!ParseU64(&v)) return false;
-        out->counters.emplace(std::move(name), v);
-      } else if (std::strcmp(label, "gauges") == 0) {
-        double v = 0.0;
-        if (!ParseDouble(&v)) return false;
-        out->gauges.emplace(std::move(name), v);
-      } else {
-        HistogramSnapshot h;
-        if (!ParseHistogram(&h)) return false;
-        out->histograms.emplace(std::move(name), std::move(h));
-      }
-      SkipWs();
-      if (*p_ == ',') {
-        ++p_;
-        continue;
-      }
-      break;
-    }
-    return Expect('}');
-  }
-
-  const char* p_;
-};
 
 }  // namespace
 
@@ -254,71 +125,6 @@ std::string ToJson(const Snapshot& snapshot, bool pretty) {
   out += "}";
   if (pretty) out += '\n';
   return out;
-}
-
-bool FromJson(const std::string& json, Snapshot* out) {
-  *out = Snapshot{};
-  Reader reader(json);
-  if (!reader.Parse(out)) {
-    *out = Snapshot{};
-    return false;
-  }
-  return true;
-}
-
-SnapshotExporter::SnapshotExporter(const Registry* registry, std::string path,
-                                   uint64_t interval_ms)
-    : registry_(registry), path_(std::move(path)), interval_ms_(interval_ms) {
-  COCO_CHECK(registry_ != nullptr, "exporter needs a registry");
-  if (interval_ms_ > 0) {
-    thread_ = std::thread([this] { Loop(); });
-  }
-}
-
-SnapshotExporter::~SnapshotExporter() { Stop(); }
-
-bool SnapshotExporter::WriteNow() {
-  const Snapshot snap = CaptureSnapshot(*registry_);
-  if (path_ == "-") {
-    const std::string json = ToJson(snap, /*pretty=*/false);
-    std::fwrite(json.data(), 1, json.size(), stdout);
-    std::fputc('\n', stdout);
-    std::fflush(stdout);
-    written_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  std::FILE* f = std::fopen(path_.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = ToJson(snap, /*pretty=*/true);
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  if (ok) written_.fetch_add(1, std::memory_order_relaxed);
-  return ok;
-}
-
-void SnapshotExporter::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) return;
-    stopped_ = true;
-    stop_.store(true, std::memory_order_release);
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  WriteNow();  // final state always lands in the sink
-}
-
-void SnapshotExporter::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_.load(std::memory_order_acquire)) {
-    cv_.wait_for(lock, std::chrono::milliseconds(interval_ms_), [this] {
-      return stop_.load(std::memory_order_acquire);
-    });
-    if (stop_.load(std::memory_order_acquire)) break;
-    lock.unlock();
-    WriteNow();
-    lock.lock();
-  }
 }
 
 }  // namespace coco::obs

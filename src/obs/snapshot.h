@@ -1,23 +1,15 @@
-// Registry snapshots and the JSON exporter.
+// Registry snapshots and their JSON form.
 //
 // A Snapshot is a point-in-time copy of every metric in a Registry —
-// plain maps, no atomics — which makes it the unit of serialization,
-// testing, and cross-process shipping. ToJson/FromJson round-trip the
-// format exactly (tested in tests/obs_test.cpp), so a snapshot written by
-// the datapath can be re-read by tooling built against the same header.
-//
-// SnapshotExporter writes snapshots to stdout or a file, either on demand
-// (WriteNow) or periodically from a background thread — the "scrape file"
-// arrangement: the newest snapshot always replaces the file's content.
+// plain maps, no atomics — which makes it the unit of serialization and
+// testing. ToJson renders it as JSON (tests/obs_test.cpp pins the
+// exact text); callers write that text wherever they report, e.g.
+// `ToJson(CaptureSnapshot(registry))` to stdout or a scrape file.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -31,16 +23,12 @@ struct HistogramSnapshot {
   // (inclusive upper bound, sample count), non-empty buckets only,
   // ascending by bound.
   std::vector<std::pair<uint64_t, uint64_t>> buckets;
-
-  bool operator==(const HistogramSnapshot&) const = default;
 };
 
 struct Snapshot {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-
-  bool operator==(const Snapshot&) const = default;
 };
 
 // Copies every metric's current value out of the registry. Individual
@@ -51,54 +39,5 @@ Snapshot CaptureSnapshot(const Registry& registry);
 // Serializes a snapshot to JSON. `pretty` adds newlines and indentation;
 // compact form is a single line (one snapshot per line when appended).
 std::string ToJson(const Snapshot& snapshot, bool pretty = true);
-
-// Parses JSON produced by ToJson (either form) back into a Snapshot.
-// Returns false on malformed input without touching *out on failure paths
-// that matter (out may be partially filled); this is a round-trip reader
-// for our own format, not a general JSON parser.
-bool FromJson(const std::string& json, Snapshot* out);
-
-// Periodic / on-demand snapshot writer.
-//
-//   SnapshotExporter exporter(&registry, "/tmp/metrics.json", 500);
-//   ... run ...
-//   exporter.Stop();          // final snapshot is written on Stop()
-//
-// path "-" writes to stdout (compact, one line per snapshot); any other
-// path is rewritten in place with the pretty form (newest snapshot wins).
-// interval_ms == 0 disables the background thread; call WriteNow().
-class SnapshotExporter {
- public:
-  SnapshotExporter(const Registry* registry, std::string path,
-                   uint64_t interval_ms = 0);
-  ~SnapshotExporter();
-
-  SnapshotExporter(const SnapshotExporter&) = delete;
-  SnapshotExporter& operator=(const SnapshotExporter&) = delete;
-
-  // Captures and writes one snapshot immediately. Returns false when the
-  // sink could not be written.
-  bool WriteNow();
-
-  // Stops the background thread (if any) and writes a final snapshot.
-  void Stop();
-
-  uint64_t snapshots_written() const {
-    return written_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void Loop();
-
-  const Registry* registry_;
-  std::string path_;
-  uint64_t interval_ms_;
-  std::atomic<uint64_t> written_{0};
-  std::atomic<bool> stop_{false};
-  bool stopped_ = false;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread thread_;
-};
 
 }  // namespace coco::obs

@@ -43,6 +43,10 @@ constexpr int kDone = 2;
 // datapath ~5% of its rate on a 4-vCPU KVM host.
 constexpr uint64_t kTimedBatchStride = 8;
 
+// The degrade ladder's hysteresis band, as fractions of ring capacity.
+constexpr double kDegradeHighWatermark = 0.75;
+constexpr double kDegradeLowWatermark = 0.25;
+
 // Per-shard registry handles, resolved before the threads start (the
 // registry lock never appears on a hot path). All null when uninstrumented;
 // every use is pointer-guarded.
@@ -120,8 +124,7 @@ struct Shard {
         sketches(memory_bytes, c.d, c.seed),
         m(std::move(metrics)),
         seed(c.seed),
-        ladder(c.degrade_high_watermark, c.degrade_low_watermark,
-               c.ring_capacity),
+        ladder(kDegradeHighWatermark, kDegradeLowWatermark, c.ring_capacity),
         monitor(c.attack_options) {
     if (c.degrade_enabled) {
       gate.emplace(c.degrade_sample_prob,
@@ -235,6 +238,8 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   const size_t W = config.num_workers;
   COCO_CHECK(S >= 1 && W >= 1 && W <= S,
              "scale-out needs 1 <= workers <= shards");
+  COCO_CHECK(config.num_groups >= 1 && config.num_groups <= W,
+             "groups must satisfy 1 <= groups <= workers");
   const size_t drain_batch = config.drain_batch < 1 ? 1 : config.drain_batch;
   const size_t per_shard_memory = config.sketch_memory_bytes / S;
   const bool checkpointing =
@@ -243,8 +248,7 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
       config.with_sketch && config.attack_window_packets != 0;
 
   ScaleoutResult result;
-  result.topology =
-      PlaceShards(S, W, config.num_groups, config.placement_cost);
+  result.topology = PlaceShards(S, W);
   const ShardTopology& topo = result.topology;
 
   // RSS stage: pre-steer the trace into per-shard producer lists, so the

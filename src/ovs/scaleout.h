@@ -10,9 +10,8 @@
 //   * RSS flow steering (ovs/steering.h): shard = hash(full key), so every
 //     flow's packets converge on one shard, every shard's sketch has exactly
 //     one writer, and the batched update path runs lock-free per core.
-//   * Shard-group topology with a pluggable placement cost model: shards are
-//     placed onto workers (and workers onto NUMA-style groups) by
-//     PlaceShards; a worker polls only the shards it owns.
+//   * Round-robin placement (PlaceShards): shard s is owned by worker
+//     s mod num_workers, and a worker polls only the shards it owns.
 //   * Proportional polling: a worker drains its owned rings fullest-first
 //     with a drain budget proportional to occupancy, so a skewed shard
 //     cannot starve its siblings on the same core.
@@ -60,8 +59,7 @@ namespace coco::ovs {
 struct ScaleoutConfig {
   size_t num_shards = 4;
   size_t num_workers = 4;  // 1 <= workers <= shards
-  size_t num_groups = 1;   // NUMA socket stand-ins for the placement model
-  PlacementCost placement_cost;  // null = uniform (balanced block placement)
+  size_t num_groups = 1;   // 1 <= groups <= workers; unused (e2ebench sets it)
 
   // NIC pacing shared by all producers; 0 disables the cap entirely (offline
   // replay / the scaling bench, where the compute path is the object).
@@ -81,14 +79,12 @@ struct ScaleoutConfig {
   // Producer behavior on a full ring: backpressure (spin) or drop + count.
   OverflowPolicy overflow = OverflowPolicy::kBackpressure;
 
-  // Graceful-degradation ladder, per shard: when ring occupancy crosses
-  // high_watermark * capacity, the owner switches to sampled updates
+  // Graceful-degradation ladder, per shard: when ring occupancy reaches
+  // 3/4 of the ring capacity, the owner switches to sampled updates
   // (probability degrade_sample_prob, weights compensated by 1/p so
   // estimates stay unbiased), and steps back to exact updates once
-  // occupancy falls below low_watermark * capacity.
+  // occupancy falls to 1/4 of it.
   bool degrade_enabled = false;
-  double degrade_high_watermark = 0.75;
-  double degrade_low_watermark = 0.25;
   double degrade_sample_prob = 0.25;
 
   // Work stealing: a worker with nothing of its own to drain steals from the

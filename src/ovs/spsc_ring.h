@@ -6,7 +6,8 @@
 // Classic Lamport queue with C++11 atomics: the producer owns `head_`, the
 // consumer owns `tail_`; each caches the other side's index to avoid
 // touching the contended cache line on every operation. Capacity is a power
-// of two so index wrapping is a mask.
+// of two so index wrapping is a mask. The consumer pops only in batches
+// (PopBatch), so the atomic traffic is paid per batch, not per element.
 #pragma once
 
 #include <atomic>
@@ -72,10 +73,9 @@ class SpscRing {
     return n > slots_.size() ? slots_.size() : n;
   }
 
-  // Consumer side, batched: pops up to `max` elements into `out`, returning
-  // the number popped (0 when empty). One acquire load and one release store
-  // amortized over the whole batch — the per-element atomic traffic of
-  // TryPop is the other half of the drain cost that batching removes.
+  // Consumer side: moves up to `max` elements into `out`, returning the
+  // number popped (0 when empty). One acquire load and one release store
+  // are amortized over the whole batch.
   size_t PopBatch(T* out, size_t max) {
     const size_t tail = tail_.load(std::memory_order_relaxed);
     size_t available = cached_head_ - tail;
@@ -95,8 +95,8 @@ class SpscRing {
   // Consumer-token handoff for bounded work stealing (ovs/scaleout.h). The
   // ring stays single-consumer AT ANY INSTANT — what changes is which thread
   // that consumer is: the owning worker normally, an idle thief for one
-  // bounded steal. Every PopBatch/TryPop caller in a stealing topology must
-  // hold the token; test_and_set(acquire) / clear(release) hand the
+  // bounded steal. Every PopBatch caller in a stealing topology must hold
+  // the token; test_and_set(acquire) / clear(release) hand the
   // consumer-side cursor state (tail_ plus the cached_head_ cache) from one
   // consumer to the next with the ordering a mutex would provide. The
   // datapath takes it around every pop, stealing or not; uncontended that
@@ -105,18 +105,6 @@ class SpscRing {
     return !consumer_token_.test_and_set(std::memory_order_acquire);
   }
   void ReleaseConsumer() { consumer_token_.clear(std::memory_order_release); }
-
-  // Consumer side. Returns false when the ring is empty.
-  bool TryPop(T& out) {
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == cached_head_) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      if (tail == cached_head_) return false;
-    }
-    out = slots_[tail & mask_];
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
 
   size_t capacity() const { return slots_.size(); }
 

@@ -2,61 +2,16 @@
 
 namespace coco::ovs {
 
-PlacementCost NumaHomeCost(size_t num_shards, size_t num_groups,
-                           double penalty) {
-  return [num_shards, num_groups, penalty](size_t shard, size_t group) {
-    const size_t home = shard * num_groups / (num_shards == 0 ? 1 : num_shards);
-    return group == home ? 0.0 : penalty;
-  };
-}
-
-ShardTopology PlaceShards(size_t num_shards, size_t num_workers,
-                          size_t num_groups, const PlacementCost& cost) {
+ShardTopology PlaceShards(size_t num_shards, size_t num_workers) {
   COCO_CHECK(num_shards >= 1, "topology needs at least one shard");
   COCO_CHECK(num_workers >= 1 && num_workers <= num_shards,
              "workers must satisfy 1 <= workers <= shards");
-  COCO_CHECK(num_groups >= 1 && num_groups <= num_workers,
-             "groups must satisfy 1 <= groups <= workers");
-
   ShardTopology topo;
-  topo.num_shards = num_shards;
-  topo.num_workers = num_workers;
-  topo.num_groups = num_groups;
-  topo.shard_owner.assign(num_shards, 0);
-  topo.worker_group.resize(num_workers);
-  topo.worker_shards.assign(num_workers, {});
-
-  // Workers -> groups in contiguous blocks, the arrangement that keeps
-  // within-group worker indices adjacent (matching how cores enumerate on a
-  // multi-socket host).
-  for (size_t w = 0; w < num_workers; ++w) {
-    topo.worker_group[w] = w * num_groups / num_workers;
-  }
-
-  // Greedy shard assignment: cheapest group first, then least-loaded worker.
-  // Capacity keeps ownership balanced to within one shard even when the cost
-  // model would prefer piling everything on one socket.
-  const size_t capacity = (num_shards + num_workers - 1) / num_workers;
+  topo.shard_owner.resize(num_shards);
+  topo.worker_shards.resize(num_workers);
   for (size_t s = 0; s < num_shards; ++s) {
-    size_t best = num_workers;  // sentinel: no candidate yet
-    double best_cost = 0.0;
-    for (size_t w = 0; w < num_workers; ++w) {
-      if (topo.worker_shards[w].size() >= capacity) continue;
-      const double c =
-          cost ? cost(s, topo.worker_group[w]) : 0.0;
-      const bool better =
-          best == num_workers || c < best_cost ||
-          (c == best_cost &&
-           topo.worker_shards[w].size() < topo.worker_shards[best].size());
-      if (better) {
-        best = w;
-        best_cost = c;
-      }
-    }
-    COCO_CHECK(best < num_workers, "placement ran out of worker capacity");
-    topo.shard_owner[s] = best;
-    topo.worker_shards[best].push_back(s);
-    topo.placement_cost += best_cost;
+    topo.shard_owner[s] = s % num_workers;
+    topo.worker_shards[s % num_workers].push_back(s);
   }
   return topo;
 }

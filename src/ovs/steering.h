@@ -1,5 +1,5 @@
 // RSS-style flow steering and shard placement for the multi-core scale-out
-// datapath (DESIGN.md "Multi-core scale-out"; ROADMAP NUMA/multi-core item).
+// datapath (DESIGN.md §7).
 //
 // Steering: shard = Lemire-reduce(Hash64(full key, steering seed)) — a pure
 // function of (key, seed, num_shards), so the same flow always lands on the
@@ -10,16 +10,13 @@
 // function of the shard split, which the unbiasedness tests (and a
 // white-box adversary) would notice.
 //
-// Placement: shards are grouped onto workers, workers onto groups (NUMA
-// socket stand-ins), under a pluggable cost model — cost(shard, group) is
-// whatever the deployment knows about where a shard's producer data lives.
-// The placement is deterministic (stable tie-breaks) so topologies are
-// reproducible across runs and testable without threads.
+// Placement: shard s is polled by worker s mod W, so ownership stays
+// balanced to within one shard and topologies are reproducible across runs
+// and testable without threads.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/check.h"
@@ -56,38 +53,13 @@ class FlowSteering {
   size_t shards_;
 };
 
-// Cost of placing `shard`'s consumer on `group` (a socket). Lower is better;
-// the scale is the caller's (cross-socket hops, cache-miss penalties, ...).
-using PlacementCost = std::function<double(size_t shard, size_t group)>;
-
-// A NUMA-flavored default: shard s's producer data is "homed" on group
-// (s * num_groups / num_shards); consuming it from any other group costs
-// `penalty`. With this model and enough per-group worker capacity,
-// PlaceShards keeps every shard on its home socket.
-PlacementCost NumaHomeCost(size_t num_shards, size_t num_groups,
-                           double penalty = 1.0);
-
-// The shard-group topology the scale-out datapath runs: which worker owns
-// which shards, which group each worker sits on, and the total placement
-// cost under the model that produced it.
+// Which worker owns which shards in the scale-out datapath.
 struct ShardTopology {
-  size_t num_shards = 0;
-  size_t num_workers = 0;
-  size_t num_groups = 0;
-  std::vector<size_t> shard_owner;               // shard -> worker
-  std::vector<size_t> worker_group;              // worker -> group
+  std::vector<size_t> shard_owner;                 // shard -> worker
   std::vector<std::vector<size_t>> worker_shards;  // worker -> owned shards
-  double placement_cost = 0.0;
 };
 
-// Assigns workers to groups in contiguous blocks and shards to workers by a
-// greedy cost-then-load rule: each shard (in index order) goes to the
-// cheapest worker with spare capacity (capacity = ceil(S/W), so ownership
-// stays balanced); ties break toward the least-loaded, then lowest-index
-// worker. `cost == nullptr` means uniform (placement degenerates to balanced
-// block assignment). Deterministic: same inputs, same topology.
-ShardTopology PlaceShards(size_t num_shards, size_t num_workers,
-                          size_t num_groups,
-                          const PlacementCost& cost = nullptr);
+// Round-robin placement: shard s goes to worker s mod num_workers.
+ShardTopology PlaceShards(size_t num_shards, size_t num_workers);
 
 }  // namespace coco::ovs

@@ -277,29 +277,6 @@ TEST(Merge, HwVariantMergesPerArray) {
   EXPECT_FALSE(MergeSketches(&a, approx, &rng).ok);  // division-mode mismatch
 }
 
-TEST(Merge, UssBaselineConservesMassAndCapacity) {
-  std::unordered_map<IPv4Key, uint64_t> a, b;
-  uint64_t total = 0;
-  Rng gen(11);
-  for (uint32_t i = 0; i < 300; ++i) {
-    const uint64_t va = 1 + gen.NextBelow(1000);
-    const uint64_t vb = 1 + gen.NextBelow(1000);
-    a[IPv4Key(i)] = va;
-    b[IPv4Key(i + 150)] = vb;
-    total += va + vb;
-  }
-  Rng rng(5);
-  const auto merged = core::MergeUssEntries(a, b, 100, &rng);
-  EXPECT_LE(merged.size(), 100u);
-  uint64_t merged_total = 0;
-  for (const auto& [key, v] : merged) {
-    merged_total += v;
-    // Every surviving key came from the input union.
-    EXPECT_TRUE(a.count(key) || b.count(key));
-  }
-  EXPECT_EQ(merged_total, total);
-}
-
 // ---- Delta sync -----------------------------------------------------------
 
 TEST(Delta, RoundTripReplicatesExactState) {
@@ -337,6 +314,8 @@ TEST(Delta, SparseUpdatesCompressAgainstFullImage) {
   const auto delta = BuildDeltaPayload(sketch, 1);
   const auto full = BuildFullPayload(sketch);
   EXPECT_LT(delta.size() * 10, full.size());
+  // The agent sizes the full image from the geometry without sealing one.
+  EXPECT_EQ(sketch.StateImageBytes(), full.size());
   DeltaInfo info;
   ASSERT_TRUE(PeekDeltaInfo<CocoSketch<FiveTuple>>(delta, &info));
   EXPECT_LE(info.entry_count, 2u * sketch.d());
@@ -550,6 +529,13 @@ TEST(Netwide, LoopbackEndToEndMatchesGroundTruth) {
       &error);
   ASSERT_TRUE(result.has_value()) << error;
   EXPECT_EQ(result->rows.size(), 5u);
+
+  // The same replicas give the same answer: a merge depends only on the
+  // replicas and the merge seed, not on how many merges ran before it.
+  const auto first = collector.DecodeMerged();
+  EXPECT_TRUE(collector.CheckConservation().Holds());
+  EXPECT_TRUE(collector.DecodeMerged() == first)
+      << "two merges of the same replicas decoded differently";
 }
 
 TEST(Netwide, SecondEpochShipsDeltaNotFull) {

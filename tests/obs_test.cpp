@@ -1,12 +1,8 @@
-// Observability layer: metric primitives, registry semantics, snapshot
-// JSON round-trip, the exporter, and the live conservation invariant read
-// off an instrumented (and faulted) datapath run.
+// Observability layer: metric primitives, registry semantics, the snapshot
+// and its exact JSON text, and the live conservation invariant read off an
+// instrumented (and faulted) datapath run.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -154,69 +150,48 @@ TEST(Snapshot, CaptureCopiesEveryMetric) {
   EXPECT_EQ(h.buckets[3], (std::pair<uint64_t, uint64_t>{63, 2}));
 }
 
+// ToJson's exact text in both forms: names sorted within each section,
+// gauges at %.17g (0.1 prints its full binary value, so any reader gets the
+// same double back), histograms with their non-empty buckets only.
 TEST(Snapshot, JsonRoundTripsBothForms) {
   Registry r;
   PopulateRegistry(&r);
+  r.GetGauge("dp.run.tenth")->Set(0.1);
   const Snapshot snap = CaptureSnapshot(r);
-  for (const bool pretty : {true, false}) {
-    const std::string json = ToJson(snap, pretty);
-    Snapshot parsed;
-    ASSERT_TRUE(FromJson(json, &parsed)) << json;
-    EXPECT_EQ(parsed, snap);
-  }
+  EXPECT_EQ(ToJson(snap, /*pretty=*/true),
+            "{\n"
+            "  \"counters\": {\n"
+            "    \"dp.q0.exact\": 990,\n"
+            "    \"dp.q0.offered\": 1000,\n"
+            "    \"dp.q0.rx_dropped\": 10\n"
+            "  },\n"
+            "  \"gauges\": {\n"
+            "    \"dp.run.fraction\": 0.123456789012345,\n"
+            "    \"dp.run.mpps\": 3.25,\n"
+            "    \"dp.run.tenth\": 0.10000000000000001\n"
+            "  },\n"
+            "  \"histograms\": {\n"
+            "    \"dp.q0.batch_fill\": {\"count\": 5, \"sum\": 71, "
+            "\"buckets\": [[0, 1], [1, 1], [7, 1], [63, 2]]}\n"
+            "  }\n"
+            "}\n");
+  EXPECT_EQ(ToJson(snap, /*pretty=*/false),
+            "{\"counters\": {\"dp.q0.exact\": 990,\"dp.q0.offered\": 1000,"
+            "\"dp.q0.rx_dropped\": 10},"
+            "\"gauges\": {\"dp.run.fraction\": 0.123456789012345,"
+            "\"dp.run.mpps\": 3.25,\"dp.run.tenth\": 0.10000000000000001},"
+            "\"histograms\": {\"dp.q0.batch_fill\": {\"count\": 5, "
+            "\"sum\": 71, \"buckets\": [[0, 1], [1, 1], [7, 1], [63, 2]]}}}");
 }
 
 TEST(Snapshot, EmptyRegistryRoundTrips) {
   Registry r;
   const Snapshot snap = CaptureSnapshot(r);
-  Snapshot parsed;
-  ASSERT_TRUE(FromJson(ToJson(snap), &parsed));
-  EXPECT_EQ(parsed, snap);
-  EXPECT_TRUE(parsed.counters.empty());
-}
-
-TEST(Snapshot, FromJsonRejectsMalformedInput) {
-  Snapshot out;
-  EXPECT_FALSE(FromJson("", &out));
-  EXPECT_FALSE(FromJson("{", &out));
-  EXPECT_FALSE(FromJson("not json at all", &out));
-  EXPECT_FALSE(FromJson("{\"counters\":{\"a\":}}", &out));
-}
-
-TEST(SnapshotExporter, WriteNowProducesAParsableFile) {
-  Registry r;
-  PopulateRegistry(&r);
-  const std::string path = ::testing::TempDir() + "obs_test_snapshot.json";
-  SnapshotExporter exporter(&r, path);
-  ASSERT_TRUE(exporter.WriteNow());
-  EXPECT_EQ(exporter.snapshots_written(), 1u);
-
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  Snapshot parsed;
-  ASSERT_TRUE(FromJson(buf.str(), &parsed));
-  EXPECT_EQ(parsed, CaptureSnapshot(r));
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotExporter, PeriodicThreadWritesAndStopFlushesOnce) {
-  Registry r;
-  PopulateRegistry(&r);
-  const std::string path = ::testing::TempDir() + "obs_test_periodic.json";
-  {
-    SnapshotExporter exporter(&r, path, /*interval_ms=*/5);
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    exporter.Stop();  // also writes the final snapshot
-    EXPECT_GE(exporter.snapshots_written(), 2u);
-  }  // destructor after Stop() must not double-write or hang
-
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  Snapshot parsed;
-  ASSERT_TRUE(FromJson(buf.str(), &parsed));  // newest snapshot wins the file
-  std::remove(path.c_str());
+  EXPECT_EQ(ToJson(snap, /*pretty=*/true),
+            "{\n  \"counters\": {\n  },\n  \"gauges\": {\n  },\n"
+            "  \"histograms\": {\n  }\n}\n");
+  EXPECT_EQ(ToJson(snap, /*pretty=*/false),
+            "{\"counters\": {},\"gauges\": {},\"histograms\": {}}");
 }
 
 TEST(SketchMetrics, PublishesGaugesUnderPrefix) {
@@ -287,12 +262,6 @@ TEST(Conservation, HoldsPerQueueOnFaultedRun) {
   // End-of-run publications: sketch occupancy gauges and run-level gauges.
   EXPECT_GT(registry.GetGauge("ovs.q0.sketch.load_factor")->Value(), 0.0);
   EXPECT_GT(registry.GetGauge("ovs.run.mpps")->Value(), 0.0);
-
-  // The whole faulted-run registry must survive a JSON round-trip.
-  const Snapshot snap = CaptureSnapshot(registry);
-  Snapshot parsed;
-  ASSERT_TRUE(FromJson(ToJson(snap), &parsed));
-  EXPECT_EQ(parsed, snap);
 }
 
 // Fault-free instrumented run: nothing lands in degraded or dropped, and the

@@ -43,10 +43,10 @@ TEST(SpscRing, FifoSingleThread) {
   EXPECT_FALSE(ring.TryPush(99));  // full
   int out;
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(ring.TryPop(out));
+    ASSERT_EQ(ring.PopBatch(&out, 1), 1u);
     EXPECT_EQ(out, i);
   }
-  EXPECT_FALSE(ring.TryPop(out));  // empty
+  EXPECT_EQ(ring.PopBatch(&out, 1), 0u);  // empty
 }
 
 TEST(SpscRing, WrapsAround) {
@@ -55,9 +55,9 @@ TEST(SpscRing, WrapsAround) {
   for (int round = 0; round < 100; ++round) {
     ASSERT_TRUE(ring.TryPush(round));
     ASSERT_TRUE(ring.TryPush(round + 1000));
-    ASSERT_TRUE(ring.TryPop(out));
+    ASSERT_EQ(ring.PopBatch(&out, 1), 1u);
     EXPECT_EQ(out, round);
-    ASSERT_TRUE(ring.TryPop(out));
+    ASSERT_EQ(ring.PopBatch(&out, 1), 1u);
     EXPECT_EQ(out, round + 1000);
   }
 }
@@ -75,7 +75,7 @@ TEST(SpscRing, TwoThreadStressPreservesSequence) {
   uint64_t expected = 0;
   uint64_t value;
   while (expected < kCount) {
-    if (ring.TryPop(value)) {
+    if (ring.PopBatch(&value, 1) == 1) {
       ASSERT_EQ(value, expected);
       ++expected;
     } else {
@@ -83,7 +83,7 @@ TEST(SpscRing, TwoThreadStressPreservesSequence) {
     }
   }
   producer.join();
-  EXPECT_FALSE(ring.TryPop(value));
+  EXPECT_EQ(ring.PopBatch(&value, 1), 0u);
 }
 
 TEST(SpscRing, PopBatchDrainsInOrder) {
@@ -97,22 +97,6 @@ TEST(SpscRing, PopBatchDrainsInOrder) {
   EXPECT_EQ(ring.PopBatch(out, 16), 6u);
   for (int i = 0; i < 6; ++i) EXPECT_EQ(out[i], i + 4);
   EXPECT_EQ(ring.PopBatch(out, 16), 0u);  // empty
-}
-
-TEST(SpscRing, PopBatchInteroperatesWithTryPop) {
-  SpscRing<int> ring(8);
-  int out[8];
-  for (int round = 0; round < 50; ++round) {
-    ASSERT_TRUE(ring.TryPush(3 * round));
-    ASSERT_TRUE(ring.TryPush(3 * round + 1));
-    ASSERT_TRUE(ring.TryPush(3 * round + 2));
-    int single;
-    ASSERT_TRUE(ring.TryPop(single));
-    EXPECT_EQ(single, 3 * round);
-    ASSERT_EQ(ring.PopBatch(out, 8), 2u);
-    EXPECT_EQ(out[0], 3 * round + 1);
-    EXPECT_EQ(out[1], 3 * round + 2);
-  }
 }
 
 TEST(SpscRing, PopBatchTwoThreadStressPreservesSequence) {
@@ -152,10 +136,10 @@ TEST(SpscRing, PushOrDropCountsDrops) {
   // Dropped records never entered the ring: FIFO contents are untouched.
   int out;
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.TryPop(out));
+    ASSERT_EQ(ring.PopBatch(&out, 1), 1u);
     EXPECT_EQ(out, i);
   }
-  EXPECT_FALSE(ring.TryPop(out));
+  EXPECT_EQ(ring.PopBatch(&out, 1), 0u);
 }
 
 TEST(SpscRing, SizeApproxTracksOccupancy) {
@@ -164,13 +148,13 @@ TEST(SpscRing, SizeApproxTracksOccupancy) {
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.TryPush(i));
   EXPECT_EQ(ring.SizeApprox(), 5u);
   int out;
-  ASSERT_TRUE(ring.TryPop(out));
-  ASSERT_TRUE(ring.TryPop(out));
+  ASSERT_EQ(ring.PopBatch(&out, 1), 1u);
+  ASSERT_EQ(ring.PopBatch(&out, 1), 1u);
   EXPECT_EQ(ring.SizeApprox(), 3u);
   // Wrap-around does not confuse the occupancy.
   for (int round = 0; round < 30; ++round) {
     ASSERT_TRUE(ring.TryPush(round));
-    ASSERT_TRUE(ring.TryPop(out));
+    ASSERT_EQ(ring.PopBatch(&out, 1), 1u);
     EXPECT_EQ(ring.SizeApprox(), 3u);
   }
 }
@@ -457,8 +441,6 @@ TEST(Datapath, DegradationLadderEngagesUnderOverloadAndRecovers) {
   dp.ring_capacity = 256;
   dp.overflow = OverflowPolicy::kDropNewest;
   dp.degrade_enabled = true;
-  dp.degrade_high_watermark = 0.75;
-  dp.degrade_low_watermark = 0.25;
   dp.degrade_sample_prob = 0.25;
   dp.faults.stalls.push_back({0, 0, 150});  // first-batch stall builds backlog
   const auto result = RunScaleout(dp, trace);

@@ -1,5 +1,5 @@
 // Concurrency battery for the datapath, ovs::RunScaleout (DESIGN.md §7):
-// steering determinism and balance, placement under cost models, the
+// steering determinism and balance, round-robin placement, the
 // union of shard decodes against a monolithic sketch, epoch rotation
 // (writers never blocked, per-epoch mass conservation, no torn reads),
 // bounded work stealing on adversarially skewed fill, a killed worker's
@@ -189,7 +189,7 @@ TEST(Steering, ShardAssignmentIndependentOfWorkerCount) {
 // ---- Placement ------------------------------------------------------------
 
 TEST(Placement, UniformCostBalancesWithinOneShard) {
-  const ShardTopology topo = PlaceShards(10, 4, 1);
+  const ShardTopology topo = PlaceShards(10, 4);
   ASSERT_EQ(topo.shard_owner.size(), 10u);
   std::vector<size_t> load(4, 0);
   for (size_t s = 0; s < 10; ++s) {
@@ -198,38 +198,20 @@ TEST(Placement, UniformCostBalancesWithinOneShard) {
   }
   for (size_t w = 0; w < 4; ++w) {
     EXPECT_GE(load[w], 2u);
-    EXPECT_LE(load[w], 3u);  // capacity = ceil(10/4)
+    EXPECT_LE(load[w], 3u);  // ceil(10/4)
     EXPECT_EQ(load[w], topo.worker_shards[w].size());
     for (const size_t s : topo.worker_shards[w]) {
       EXPECT_EQ(topo.shard_owner[s], w);
     }
   }
-  EXPECT_EQ(topo.placement_cost, 0.0);
-}
-
-TEST(Placement, NumaHomeCostKeepsShardsOnTheirSocket) {
-  const size_t S = 8, W = 4, G = 2;
-  const ShardTopology topo = PlaceShards(S, W, G, NumaHomeCost(S, G));
-  // Workers 0,1 -> group 0; workers 2,3 -> group 1.
-  EXPECT_EQ(topo.worker_group, (std::vector<size_t>{0, 0, 1, 1}));
-  // Shards 0..3 are homed on group 0, 4..7 on group 1; with capacity for
-  // all of them there, the greedy placement pays zero cross-socket cost.
-  for (size_t s = 0; s < S; ++s) {
-    const size_t home = s * G / S;
-    EXPECT_EQ(topo.worker_group[topo.shard_owner[s]], home) << "shard " << s;
+  // The owner map is round-robin: shard s goes to worker s mod W.
+  for (const auto& [S, W] : std::vector<std::pair<size_t, size_t>>{
+           {1, 1}, {2, 2}, {4, 2}, {7, 3}, {10, 4}, {16, 5}, {64, 64}}) {
+    const ShardTopology t = PlaceShards(S, W);
+    for (size_t s = 0; s < S; ++s) {
+      EXPECT_EQ(t.shard_owner[s], s % W) << "S=" << S << " W=" << W;
+    }
   }
-  EXPECT_EQ(topo.placement_cost, 0.0);
-}
-
-TEST(Placement, CapacityOverridesCostModel) {
-  // A cost model that prefers group 0 for every shard cannot overload it:
-  // capacity caps each worker at ceil(S/W) shards.
-  const auto prefer_group0 = [](size_t, size_t group) {
-    return group == 0 ? 0.0 : 1.0;
-  };
-  const ShardTopology topo = PlaceShards(8, 4, 2, prefer_group0);
-  for (size_t w = 0; w < 4; ++w) EXPECT_EQ(topo.worker_shards[w].size(), 2u);
-  EXPECT_GT(topo.placement_cost, 0.0);  // the overflow shards paid
 }
 
 // ---- Union of shard decodes vs a monolithic sketch (no threads) -----------
