@@ -3,14 +3,14 @@
 // cap. On the paper's testbed throughput saturates the 40G NIC at >= 2
 // threads with < 1.8% CPU overhead from the sketch.
 //
-// Both halves run the one datapath, ovs::RunScaleout. Second half: the
-// multi-core scale-out curve — RSS flow steering, per-shard single-writer
-// sketches, work stealing — run UNCAPPED
-// so the compute path itself is what scales, swept over thread counts up to
-// the host's hardware concurrency (8 always included, per the scale-out
-// acceptance gate). Per-core efficiency divides by min(threads, host cores):
-// on hosts with fewer cores than threads the extra threads time-share, which
-// is oversubscription, not a scaling defect.
+// Both halves run the one datapath, ovs::RunScaleout, in the paper's shape:
+// RSS flow steering and one measurement thread per Rx ring, each the only
+// writer of its shard's sketch. Second half: the multi-core scale-out curve,
+// run UNCAPPED so the compute path itself is what scales, swept over shard
+// counts up to the host's hardware concurrency (8 always included, per the
+// scale-out acceptance gate). Per-core efficiency divides by min(threads,
+// host cores): on hosts with fewer cores than threads the extra threads
+// time-share, which is oversubscription, not a scaling defect.
 //
 // Emits BENCH_fig15a_scaling.json (bench/bench_json.h) for
 // scripts/bench_compare.sh; the per_core_efficiency metrics are the ones the
@@ -37,12 +37,9 @@ int main() {
 
   std::vector<double> with_sketch, without_sketch, overhead, batch_fill;
   for (size_t threads = 1; threads <= 4; ++threads) {
-    // The paper's OVS shape: one measurement thread per Rx queue, no
-    // stealing, the NIC line rate as the cap.
     ovs::ScaleoutConfig with;
     with.num_shards = threads;
     with.num_workers = threads;
-    with.stealing_enabled = false;
     with.nic_rate_mpps = 13.0;
     with.with_sketch = true;
     with.sketch_memory_bytes = KiB(512);

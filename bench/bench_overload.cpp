@@ -55,7 +55,6 @@ int main() {
 
   ovs::ScaleoutConfig degrade = drop;
   degrade.degrade_enabled = true;
-  degrade.degrade_sample_prob = 0.25;
 
   std::vector<double> mpps, dropped, processed_pct, degraded_pct, mass_pct;
   for (const auto& config : {backpressure, drop, degrade}) {

@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
   ovs::ScaleoutConfig config;
   config.num_shards = 2;          // two Rx queues (RSS shards)...
   config.num_workers = 2;         // ...each drained by its own worker
-  config.stealing_enabled = false;
   config.nic_rate_mpps = 13.0;    // 40GbE at the trace's mean packet size
   config.with_sketch = true;
   config.sketch_memory_bytes = KiB(512);
@@ -98,7 +97,6 @@ int main(int argc, char** argv) {
   faulty.ring_capacity = 256;
   faulty.overflow = ovs::OverflowPolicy::kDropNewest;
   faulty.degrade_enabled = true;
-  faulty.degrade_sample_prob = 0.25;
   faulty.checkpoint_interval = 4096;
   faulty.watchdog_timeout_ms = 50;
   faulty.faults.stalls.push_back({0, 0, 100});  // first-batch stall: backlog

@@ -3,12 +3,12 @@
 #
 # Builds the COCO_SANITIZE CMake presets and runs the tests that exercise the
 # code the sanitizers are aimed at:
-#   thread  — TSan over the lock-free SPSC rings (including the
-#             consumer-token handoff for work stealing), the one datapath's
-#             worker loop (ovs::RunScaleout: epoch rotation under load,
-#             steal/owner races, the watchdog's stall-detect/kill/respawn
-#             paths with per-shard checkpoint restore, attack detection and
-#             seed rotation), the batched merge, the relaxed-atomic metrics
+#   thread  — TSan over the lock-free SPSC rings, the one datapath's
+#             worker loop (ovs::RunScaleout: epoch rotation under load, the
+#             consumer handoff from a killed worker to its respawned
+#             replacement, the watchdog's stall-detect/kill/respawn paths
+#             with per-shard checkpoint restore, attack detection and seed
+#             rotation), the batched merge, the relaxed-atomic metrics
 #             registry, and the network-wide agent/collector transports —
 #             ovs_test, batch_test, obs_test, netwide_test,
 #             adversarial_test, scaleout_test

@@ -10,7 +10,7 @@
 // index.
 //
 // Threading contract: each fault targets one shard, and FaultInjector state
-// for a fault is only read/written by the worker that owns that shard
+// for a fault is only read/written by that shard's worker
 // (respawns are sequential: the watchdog joins the dead thread before
 // starting its replacement). Fired-event totals are atomics so the control
 // plane can read them from any thread.
@@ -27,7 +27,7 @@
 namespace coco::ovs {
 
 // Worker stall: once `after_packets` records have been applied to shard
-// `queue`, its owning worker sleeps for `duration_ms` before touching any
+// `queue`, the shard's worker sleeps for `duration_ms` before touching its
 // ring again — a descheduled / GC-paused / IO-blocked measurement process.
 struct StallFault {
   size_t queue = 0;
@@ -36,7 +36,7 @@ struct StallFault {
 };
 
 // Worker death: once `after_packets` records have been applied to shard
-// `queue`, the worker that owns it exits without draining its rings — a
+// `queue`, the shard's worker exits without draining its ring — a
 // crashed measurement process, whose sketch state is lost. Recovery is the
 // watchdog's job.
 struct KillFault {

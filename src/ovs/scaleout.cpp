@@ -19,6 +19,7 @@
 #include "obs/sketch_metrics.h"
 #include "ovs/degrade.h"
 #include "ovs/epoch.h"
+#include "ovs/steering.h"
 #include "ovs/watchdog.h"
 
 namespace coco::ovs {
@@ -43,9 +44,12 @@ constexpr int kDone = 2;
 // datapath ~5% of its rate on a 4-vCPU KVM host.
 constexpr uint64_t kTimedBatchStride = 8;
 
-// The degrade ladder's hysteresis band, as fractions of ring capacity.
+// The degrade ladder's hysteresis band, as fractions of ring capacity, and
+// the probability that a degraded update keeps a record (its weight is
+// compensated by the inverse).
 constexpr double kDegradeHighWatermark = 0.75;
 constexpr double kDegradeLowWatermark = 0.25;
+constexpr double kDegradeSampleProb = 0.25;
 
 // Per-shard registry handles, resolved before the threads start (the
 // registry lock never appears on a hot path). All null when uninstrumented;
@@ -57,8 +61,6 @@ struct ShardMetrics {
   obs::Counter* rx_dropped = nullptr;
   obs::Counter* degrade_enter = nullptr;
   obs::Counter* degrade_exit = nullptr;
-  obs::Counter* steal_events = nullptr;    // steals INTO this shard
-  obs::Counter* stolen_records = nullptr;  // records re-steered to this shard
   obs::Counter* stalls_detected = nullptr;
   obs::Counter* restores = nullptr;
   obs::Counter* checkpoints = nullptr;
@@ -90,8 +92,6 @@ ShardMetrics ResolveShardMetrics(obs::Registry* registry,
   m.rx_dropped = counter("rx_dropped");
   m.degrade_enter = counter("degrade_enter");
   m.degrade_exit = counter("degrade_exit");
-  m.steal_events = counter("steal_events");
-  m.stolen_records = counter("stolen_records");
   m.stalls_detected = counter("stalls_detected");
   m.restores = counter("restores");
   m.checkpoints = counter("checkpoints");
@@ -113,10 +113,10 @@ void Bump(obs::Counter* counter, uint64_t n = 1) {
   if (counter != nullptr) counter->Add(n);
 }
 
-// Everything one shard owns. Not movable (atomics, mutexes), so RunScaleout
-// holds shards behind unique_ptr. The writer-owned fields are touched only
-// by the worker that owns the shard; a respawned worker inherits them after
-// the watchdog has joined the dead one.
+// Everything one shard owns, its worker thread included. Not movable
+// (atomics, mutexes), so RunScaleout holds shards behind unique_ptr. The
+// writer-owned fields are touched only by the shard's worker; a respawned
+// worker inherits them after the watchdog has joined the dead one.
 struct Shard {
   Shard(const ScaleoutConfig& c, size_t memory_bytes, size_t s,
         ShardMetrics metrics)
@@ -127,7 +127,7 @@ struct Shard {
         ladder(kDegradeHighWatermark, kDegradeLowWatermark, c.ring_capacity),
         monitor(c.attack_options) {
     if (c.degrade_enabled) {
-      gate.emplace(c.degrade_sample_prob,
+      gate.emplace(kDegradeSampleProb,
                    c.seed ^ (0xdeadbeefULL + s * 0x9e3779b9ULL));
     }
   }
@@ -139,9 +139,9 @@ struct Shard {
   std::atomic<uint64_t> progress{0};  // records applied to this shard
   // Last epoch this shard published (kShardRetired once its worker exits).
   std::atomic<uint64_t> epoch_done{0};
-  // Writer-exclusion probe: 0 = free, w+1 = worker w inside an apply
-  // section. A failed claim means two workers raced one sketch — the
-  // single-writer invariant the steal path must preserve.
+  // Writer-exclusion probe: 0 = free, 1 = a worker inside an apply
+  // section. A failed claim means two threads raced one sketch: a
+  // replacement worker ran before the watchdog joined the killed one.
   std::atomic<uint32_t> writer{0};
 
   // ---- writer-owned ----
@@ -161,19 +161,24 @@ struct Shard {
   uint64_t honest_streak = 0;   // consecutive honest windows while forced
   uint64_t batches = 0;
   uint64_t update_cycles = 0;  // scaled up from the timed batches
-  uint64_t steal_events = 0;
-  uint64_t stolen_records = 0;
   uint64_t epoch_rotations = 0;
   uint64_t rotation_refusals = 0;
   // The counters kept for this shard: by its writer, except
   // stalls_detected, which only the watchdog writes.
   DatapathHealth health;
+
+  // The shard's worker, declared after everything it uses: its lifecycle
+  // status and thread handle. The mutex guards handle swaps between the
+  // watchdog and the joining main thread.
+  std::atomic<int> worker_status{kRunning};
+  std::mutex worker_mu;
+  std::thread worker;
 };
 
 // Adds every source's decode to `table` — the union of the shards' decodes.
-// RSS steering gives the shards disjoint flows, and a flow split by a steal
-// or a seed rotation sums, so every shard keeps its own recording capacity
-// and no seed has to match. Returns the number of distinct hash seeds.
+// RSS steering gives the shards disjoint flows, so every shard keeps its own
+// recording capacity and no seed has to match. Returns the number of
+// distinct hash seeds.
 size_t CollectEpoch(const std::vector<const Sketch*>& sources,
                     std::unordered_map<FiveTuple, uint64_t>* table) {
   std::vector<uint64_t> seeds;
@@ -235,11 +240,12 @@ ConservationView ReadConservation(obs::Registry* registry,
 ScaleoutResult RunScaleout(const ScaleoutConfig& config,
                            const std::vector<Packet>& trace) {
   const size_t S = config.num_shards;
-  const size_t W = config.num_workers;
-  COCO_CHECK(S >= 1 && W >= 1 && W <= S,
-             "scale-out needs 1 <= workers <= shards");
-  COCO_CHECK(config.num_groups >= 1 && config.num_groups <= W,
+  COCO_CHECK(S >= 1 && config.num_workers == S,
+             "scale-out runs one worker per shard: workers must equal shards");
+  COCO_CHECK(config.num_groups >= 1 && config.num_groups <= config.num_workers,
              "groups must satisfy 1 <= groups <= workers");
+  COCO_CHECK(!config.stealing_enabled,
+             "stealing_enabled must be false: only a shard's worker drains it");
   const size_t drain_batch = config.drain_batch < 1 ? 1 : config.drain_batch;
   const size_t per_shard_memory = config.sketch_memory_bytes / S;
   const bool checkpointing =
@@ -248,8 +254,6 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
       config.with_sketch && config.attack_window_packets != 0;
 
   ScaleoutResult result;
-  result.topology = PlaceShards(S, W);
-  const ShardTopology& topo = result.topology;
 
   // RSS stage: pre-steer the trace into per-shard producer lists, so the
   // producer threads only pace and push.
@@ -273,15 +277,6 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
         ResolveShardMetrics(config.registry, config.metrics_prefix, s)));
   }
 
-  struct Worker {
-    std::atomic<int> status{kRunning};
-    std::mutex thread_mu;  // guards `thread` handle swaps
-    std::thread thread;
-  };
-  std::vector<std::unique_ptr<Worker>> workers;
-  workers.reserve(W);
-  for (size_t w = 0; w < W; ++w) workers.push_back(std::make_unique<Worker>());
-
   FaultInjector injector(config.faults);
   const bool have_faults = !config.faults.Empty();
   uint64_t watchdog_ms = config.watchdog_timeout_ms;
@@ -295,9 +290,9 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
 
   // Start gate: no producer or worker proceeds until every thread has been
   // spawned. Without it, on a host that serializes threads onto few cores,
-  // the first producer/worker pair can process the entire trace before the
-  // remaining workers exist — idle thieves would never observe the backlog
-  // and the wall-clock would charge thread-spawn latency to the datapath.
+  // the first producer/worker pair can drain its whole shard before the
+  // remaining threads exist, and the wall clock would charge thread-spawn
+  // latency to the datapath.
   std::atomic<bool> start_gate{false};
 
   Stopwatch wall;
@@ -345,20 +340,19 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
     });
   }
 
-  // ---- Workers. `respawned` is the crash-recovery entry: the replacement
-  // for a killed worker first rebuilds every owned shard's sketch from its
-  // newest checkpoint that passes validation. ----
-  const auto worker_fn = [&](size_t w, bool respawned) {
+  // ---- Workers: worker s is the only consumer of ring s and the only
+  // writer of shard s's sketch. `respawned` is the crash-recovery entry:
+  // the replacement for a killed worker first rebuilds the shard's sketch
+  // from its newest checkpoint that passes validation. ----
+  const auto worker_fn = [&](size_t s, bool respawned) {
     while (!start_gate.load(std::memory_order_acquire)) {
       std::this_thread::yield();
     }
-    const std::vector<size_t>& owned = topo.worker_shards[w];
-    const size_t home = owned[0];  // steal target: re-steered records go here
+    Shard& sh = *shards[s];
     const uint64_t thread_begin = ReadCycleCounter();
     std::vector<Packet> batch(drain_batch);
 
-    const auto take_checkpoint = [&](size_t s) {
-      Shard& sh = *shards[s];
+    const auto take_checkpoint = [&] {
       auto image = sh.sketches.active()->SerializeState();
       const uint64_t seq = ++sh.checkpoint_seq;
       injector.MaybeCorrupt(s, seq, &image);
@@ -375,8 +369,7 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
     // measurement process is gone): restore the newest valid image of the
     // active epoch, else start the epoch empty. Records applied after the
     // restored image was taken are the loss reported to the control plane.
-    const auto restore = [&](size_t s) {
-      Shard& sh = *shards[s];
+    const auto restore = [&] {
       ++sh.health.restores;
       Bump(sh.m.restores);
       if (!config.with_sketch) return;
@@ -403,7 +396,7 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
     // Last-resort escalation shared by both attack classes: force the
     // degradation ladder on (if the operator enabled it at all). Lifts after
     // sustained honest windows — see the kHonest branch below.
-    const auto force_degrade = [&](Shard& sh) {
+    const auto force_degrade = [&] {
       if (!config.degrade_enabled || sh.attack_degrade) return;
       sh.attack_degrade = true;
       sh.honest_streak = 0;
@@ -413,8 +406,7 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
 
     // Attack detection runs at window boundaries on the shard's writer, so
     // a seed rotation swaps the active sketch with no reader racing it.
-    const auto observe_attack_window = [&](size_t s) {
-      Shard& sh = *shards[s];
+    const auto observe_attack_window = [&] {
       Sketch* sk = sh.sketches.active();
       sh.last_window = sh.progress.load(std::memory_order_relaxed);
       const core::AttackMonitor::Verdict verdict =
@@ -445,14 +437,14 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
           if (!config.rotate_on_attack) {
             // Rotation disabled by the operator: degradation is the only
             // remedy left on the ladder.
-            force_degrade(sh);
+            force_degrade();
             break;
           }
           const uint64_t rotation = sh.health.seed_rotations++;
           if (rotation > 0) {
             // The attacker re-learned a rotated seed (adaptive white-box);
             // rotating alone is not holding, so also engage the ladder.
-            force_degrade(sh);
+            force_degrade();
           }
           uint64_t mix = config.rotation_seed ^
                          (static_cast<uint64_t>(s) << 32) ^ (rotation + 1);
@@ -465,7 +457,7 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
           // next window against the fresh baseline, and checkpoint the new
           // seed at once so a crash right after rotation restores it.
           sh.monitor.Reset(sk->Stats());
-          if (checkpointing) take_checkpoint(s);
+          if (checkpointing) take_checkpoint();
           break;
         }
         case core::AttackMonitor::Verdict::kChurnFloodConfirmed:
@@ -473,22 +465,24 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
           sh.honest_streak = 0;
           ++sh.health.churn_floods_confirmed;
           Bump(sh.m.attack_churn_flood);
-          force_degrade(sh);
+          force_degrade();
           break;
       }
     };
 
-    // Applies batch[0, n) to shard `s`'s active sketch, guarded by the
+    // Applies batch[0, n) to the shard's active sketch, guarded by the
     // writer-exclusion probe, then runs the per-batch bookkeeping:
     // checkpoints, attack windows and injected faults fire at batch
     // boundaries (deterministic in applied records, not wall time). Returns
-    // true when an injected kill takes this worker down.
-    const auto apply = [&](size_t s, size_t n, bool degraded_mode) -> bool {
-      Shard& sh = *shards[s];
+    // true when an injected kill takes this worker down. Kept out of line:
+    // with one call site GCC 12 -O3 inlines it, cold checkpoint, attack and
+    // fault code included, into a 12 KB polling loop, which cost 6-7% of
+    // the uncapped rate at 2 shards, 512 KiB, d=2 on a 4-vCPU KVM Xeon.
+    const auto apply = [&](size_t n, bool degraded_mode)
+                           __attribute__((noinline)) -> bool {
       uint32_t expected = 0;
       const bool claimed = sh.writer.compare_exchange_strong(
-          expected, static_cast<uint32_t>(w) + 1, std::memory_order_acq_rel,
-          std::memory_order_relaxed);
+          expected, 1, std::memory_order_acq_rel, std::memory_order_relaxed);
       if (!claimed) {
         single_writer_violated.store(true, std::memory_order_relaxed);
       }
@@ -527,11 +521,11 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
       }
       if (checkpointing &&
           progress - sh.last_checkpoint >= config.checkpoint_interval) {
-        take_checkpoint(s);
+        take_checkpoint();
       }
       if (attack_detection &&
           progress - sh.last_window >= config.attack_window_packets) {
-        observe_attack_window(s);
+        observe_attack_window();
       }
       if (!have_faults) return false;
       if (const uint32_t ms = injector.StallMs(s, progress)) {
@@ -540,24 +534,22 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
       return injector.ShouldKill(s, progress);
     };
 
-    bool killed = false;
+    if (respawned) restore();
 
-    // Drain up to `rounds` batches from owned shard `s`. The consumer token
-    // guards only the POP (the ring's consumer cursor) and is released
-    // before the sketch apply: the apply is the expensive part, and holding
-    // the token across it would leave a preempted owner blocking every
-    // steal attempt for its whole descheduled stretch.
-    const auto drain_shard = [&](size_t s, size_t rounds) -> size_t {
-      Shard& sh = *shards[s];
+    bool killed = false;
+    uint64_t idle_streak = 0;
+    while (!killed) {
+      // Drain budget proportional to the backlog (1..4 batches), so a
+      // near-empty ring returns to the rotation check at once.
+      const size_t rounds =
+          1 + std::min<size_t>(3, sh.ring.SizeApprox() / drain_batch);
       size_t drained = 0;
       for (size_t r = 0; r < rounds && !killed; ++r) {
         // Occupancy is sampled before the pop so the ladder sees the
         // backlog this batch was drained from.
         const size_t occupancy =
             config.degrade_enabled ? sh.ring.SizeApprox() : 0;
-        if (!sh.ring.TryAcquireConsumer()) break;  // thief mid-pop: skip
         const size_t n = sh.ring.PopBatch(batch.data(), drain_batch);
-        sh.ring.ReleaseConsumer();
         if (n == 0) break;
         // The ladder observes occupancy even while the attack response
         // holds the mode degraded, so its own hysteresis state stays
@@ -569,80 +561,11 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
           sh.degraded = degraded_mode;
           Bump(degraded_mode ? sh.m.degrade_enter : sh.m.degrade_exit);
         }
-        killed = apply(s, n, degraded_mode);
+        killed = apply(n, degraded_mode);
         drained += n;
       }
-      return drained;
-    };
-
-    // Bounded steal: fullest foreign ring above the occupancy threshold,
-    // at most steal_batches batches, records re-steered to `home`.
-    const size_t steal_floor = std::max<size_t>(
-        1, static_cast<size_t>(config.steal_threshold *
-                               static_cast<double>(config.ring_capacity)));
-    const auto try_steal = [&]() -> size_t {
-      if (!config.stealing_enabled || config.steal_batches == 0) return 0;
-      size_t victim = S;
-      size_t best_occ = steal_floor - 1;
-      for (size_t s = 0; s < S; ++s) {
-        if (topo.shard_owner[s] == w) continue;
-        const size_t occ = shards[s]->ring.SizeApprox();
-        if (occ > best_occ) {
-          victim = s;
-          best_occ = occ;
-        }
-      }
-      if (victim == S) return 0;
-      SpscRing<Packet>& ring = shards[victim]->ring;
-      size_t stolen = 0;
-      for (size_t b = 0; b < config.steal_batches && !killed; ++b) {
-        // Token per batch, covering only the pop — the owner can reclaim
-        // its ring between the thief's batches.
-        if (!ring.TryAcquireConsumer()) break;
-        const size_t n = ring.PopBatch(batch.data(), drain_batch);
-        ring.ReleaseConsumer();
-        if (n == 0) break;
-        // Stolen work is applied at full fidelity into the thief's own
-        // shard: single-writer holds, and the victim's backlog (the thing
-        // the ladder keys off) shrinks.
-        killed = apply(home, n, false);
-        stolen += n;
-      }
-      if (stolen > 0) {
-        Shard& sh = *shards[home];
-        ++sh.steal_events;
-        sh.stolen_records += stolen;
-        Bump(sh.m.steal_events);
-        Bump(sh.m.stolen_records, stolen);
-      }
-      return stolen;
-    };
-
-    if (respawned) {
-      for (const size_t s : owned) restore(s);
-    }
-
-    // Occupancy snapshot buffer for proportional polling.
-    std::vector<std::pair<size_t, size_t>> occ_order(owned.size());
-    uint64_t idle_streak = 0;
-
-    while (!killed) {
-      // Proportional polling: fullest owned ring first, drain budget
-      // proportional to its backlog (1..4 batches), at least one attempt
-      // per ring per cycle so no owned shard starves.
-      for (size_t i = 0; i < owned.size(); ++i) {
-        occ_order[i] = {shards[owned[i]]->ring.SizeApprox(), owned[i]};
-      }
-      std::sort(occ_order.begin(), occ_order.end(),
-                [](const auto& a, const auto& b) { return a.first > b.first; });
-      size_t drained = 0;
-      for (const auto& [occ, s] : occ_order) {
-        const size_t rounds = 1 + std::min<size_t>(3, occ / drain_batch);
-        drained += drain_shard(s, rounds);
-        if (shards[s]->m.occupancy) {
-          shards[s]->m.occupancy->Set(
-              static_cast<double>(shards[s]->ring.SizeApprox()));
-        }
+      if (sh.m.occupancy) {
+        sh.m.occupancy->Set(static_cast<double>(sh.ring.SizeApprox()));
       }
 
       // Rotation check, once per polling cycle (== at a batch boundary).
@@ -650,85 +573,68 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
       // epoch the collector now owns, so the store starts fresh, and a
       // spare built before a seed rotation is rebuilt on the shard's seed.
       const uint64_t req = requested_epoch.load(std::memory_order_acquire);
-      for (const size_t s : owned) {
-        Shard& sh = *shards[s];
-        if (killed || sh.cur_epoch >= req) continue;
-        if (!sh.sketches.TryRotate(req, sh.epoch_weight)) {
+      if (!killed && sh.cur_epoch < req) {
+        if (sh.sketches.TryRotate(req, sh.epoch_weight)) {
+          sh.epoch_weight = 0;
+          sh.cur_epoch = req;
+          sh.epoch_start = sh.progress.load(std::memory_order_relaxed);
+          sh.checkpoints.Clear();
+          ++sh.epoch_rotations;
+          Sketch* sk = sh.sketches.active();
+          if (sk->seed() != sh.seed) {
+            *sk = Sketch(per_shard_memory, config.d, sh.seed);
+          }
+          if (attack_detection) sh.monitor.Reset(sk->Stats());
+          sh.epoch_done.store(req, std::memory_order_release);
+          if (sh.m.epoch) sh.m.epoch->Set(static_cast<double>(req));
+        } else {
           ++sh.rotation_refusals;
-          continue;
         }
-        sh.epoch_weight = 0;
-        sh.cur_epoch = req;
-        sh.epoch_start = sh.progress.load(std::memory_order_relaxed);
-        sh.checkpoints.Clear();
-        ++sh.epoch_rotations;
-        Sketch* sk = sh.sketches.active();
-        if (sk->seed() != sh.seed) {
-          *sk = Sketch(per_shard_memory, config.d, sh.seed);
-        }
-        if (attack_detection) sh.monitor.Reset(sk->Stats());
-        sh.epoch_done.store(req, std::memory_order_release);
-        if (sh.m.epoch) sh.m.epoch->Set(static_cast<double>(req));
       }
 
-      if (drained == 0 && !killed) drained = try_steal();
-
-      if (drained == 0) {
-        // Exit test. Without stealing a worker answers only for its own
-        // shards; with stealing it stays available as a thief until the
-        // WHOLE run is drained — an idle core that left early would strand
-        // exactly the skewed backlogs stealing exists for.
-        bool done = true;
-        const bool whole_run =
-            config.stealing_enabled && config.steal_batches > 0;
-        for (size_t s = 0; s < S; ++s) {
-          if (!whole_run && topo.shard_owner[s] != w) continue;
-          if (!shards[s]->producer_done.load(std::memory_order_acquire) ||
-              shards[s]->ring.SizeApprox() != 0) {
-            done = false;
-            break;
-          }
-        }
-        if (done) break;
-        // A persistently idle worker (nothing owned, nothing stealable)
-        // backs off from yield to a short sleep: on an oversubscribed host
-        // a spinning thief is stealing CPU from the workers it would help,
-        // and 50us is far below the time a steal-worthy backlog persists.
-        if (++idle_streak > 64) {
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-        } else {
-          std::this_thread::yield();
-        }
-      } else {
+      if (drained != 0) {
         idle_streak = 0;
         drained_total.fetch_add(drained, std::memory_order_relaxed);
+        continue;
+      }
+      if (sh.producer_done.load(std::memory_order_acquire) &&
+          sh.ring.SizeApprox() == 0) {
+        break;
+      }
+      // A worker whose ring stayed empty for 64 polls (its producer paced
+      // or descheduled) backs off from yield to a 50us sleep: on an
+      // oversubscribed host a spinning worker takes CPU from the threads
+      // that have work, and at the 13 Mpps NIC cap a producer needs over
+      // 300us to fill a default 4096-slot ring.
+      if (++idle_streak > 64) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      } else {
+        std::this_thread::yield();
       }
     }
 
     busy_cycles.fetch_add(ReadCycleCounter() - thread_begin,
                           std::memory_order_relaxed);
     if (killed) {
-      workers[w]->status.store(kExited, std::memory_order_release);
+      sh.worker_status.store(kExited, std::memory_order_release);
       return;
     }
-    // Retire the owned shards so the collector stops waiting on them
-    // (their residual mass moves to the final sweep).
-    for (const size_t s : owned) {
-      shards[s]->epoch_done.store(kShardRetired, std::memory_order_release);
-    }
-    workers[w]->status.store(kDone, std::memory_order_release);
+    // Retire the shard so the collector stops waiting on it (its residual
+    // mass moves to the final sweep).
+    sh.epoch_done.store(kShardRetired, std::memory_order_release);
+    sh.worker_status.store(kDone, std::memory_order_release);
   };
 
-  for (size_t w = 0; w < W; ++w) {
-    workers[w]->thread = std::thread(worker_fn, w, false);
+  for (size_t s = 0; s < S; ++s) {
+    shards[s]->worker = std::thread(worker_fn, s, false);
   }
 
   // Everyone is spawned; open the gate and start the measured clock.
   wall.Restart();
   start_gate.store(true, std::memory_order_release);
 
-  // ---- Watchdog: flags shards whose progress froze while work remained,
-  // and respawns killed workers. Join-before-respawn keeps each shard
+  // ---- Watchdog: respawns killed workers and flags shards whose progress
+  // froze while work remained. Join-before-respawn keeps each shard
   // single-writer at all times. ----
   std::atomic<bool> stop_watchdog{false};
   std::thread watchdog;
@@ -740,16 +646,14 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         const uint64_t now_ms =
             static_cast<uint64_t>(clock.ElapsedSeconds() * 1e3);
-        for (size_t w = 0; w < W; ++w) {
-          Worker& wk = *workers[w];
-          if (wk.status.load(std::memory_order_acquire) != kExited) continue;
-          std::lock_guard<std::mutex> lock(wk.thread_mu);
-          wk.thread.join();
-          wk.status.store(kRunning, std::memory_order_release);
-          wk.thread = std::thread(worker_fn, w, true);
-        }
         for (size_t s = 0; s < S; ++s) {
           Shard& sh = *shards[s];
+          if (sh.worker_status.load(std::memory_order_acquire) == kExited) {
+            std::lock_guard<std::mutex> lock(sh.worker_mu);
+            sh.worker.join();
+            sh.worker_status.store(kRunning, std::memory_order_release);
+            sh.worker = std::thread(worker_fn, s, true);
+          }
           if (sh.epoch_done.load(std::memory_order_acquire) ==
               kShardRetired) {
             continue;
@@ -841,16 +745,16 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   }
 
   for (auto& t : producers) t.join();
-  for (auto& wk : workers) {
+  for (auto& sh : shards) {
     // A killed worker's replacement is the watchdog's to join; this thread
     // joins only workers that finished for good.
     if (watchdog_ms > 0) {
-      while (wk->status.load(std::memory_order_acquire) != kDone) {
+      while (sh->worker_status.load(std::memory_order_acquire) != kDone) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
     }
-    std::lock_guard<std::mutex> lock(wk->thread_mu);
-    wk->thread.join();
+    std::lock_guard<std::mutex> lock(sh->worker_mu);
+    sh->worker.join();
   }
   if (collector.joinable()) collector.join();
   stop_watchdog.store(true, std::memory_order_release);
@@ -887,8 +791,6 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
     health.rx_dropped += sh->ring.rx_dropped();
     health.degrade_enter_events += sh->ladder.enter_events();
     result.batches_drained += sh->batches;
-    result.steal_events += sh->steal_events;
-    result.stolen_records += sh->stolen_records;
     result.rotations += sh->epoch_rotations;
     result.rotation_refusals += sh->rotation_refusals;
     update_cycles += sh->update_cycles;
@@ -943,8 +845,6 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
     // Current pool width, for dashboards; ReadConservation deliberately
     // ignores it and sums every q<i> that ever counted.
     gauge("num_shards", static_cast<double>(S));
-    gauge("num_workers", static_cast<double>(W));
-    gauge("steal_events", static_cast<double>(result.steal_events));
     gauge("rotations", static_cast<double>(result.rotations));
   }
   return result;

@@ -1,45 +1,36 @@
 // The OVS-style datapath (§6 / Appendix B, Fig. 15(a); DESIGN.md §7).
 //
-// Per-shard producer threads (standing in for DPDK poll-mode drivers fed by
-// a NIC) push packet headers into SPSC rings; worker threads poll the rings
-// and update single-writer CocoSketch shards. The NIC line rate is an
-// optional token bucket shared by the producers, so NIC-capped runs
-// saturate at the cap once enough threads are added — the shape of
-// Fig. 15(a) — and uncapped runs measure the compute path itself.
+// One producer thread per shard (standing in for a DPDK poll-mode Rx thread
+// on one NIC queue) pushes packet headers into the shard's SPSC ring, and
+// one worker thread per shard polls that ring and updates the shard's
+// CocoSketch: the paper's deployment, one measurement thread per Rx ring.
+// The NIC line rate is an optional token bucket shared by the producers, so
+// NIC-capped runs saturate at the cap once enough threads are added — the
+// shape of Fig. 15(a) — and uncapped runs measure the compute path itself.
 //
 //   * RSS flow steering (ovs/steering.h): shard = hash(full key), so every
-//     flow's packets converge on one shard, every shard's sketch has exactly
-//     one writer, and the batched update path runs lock-free per core.
-//   * Round-robin placement (PlaceShards): shard s is owned by worker
-//     s mod num_workers, and a worker polls only the shards it owns.
-//   * Proportional polling: a worker drains its owned rings fullest-first
-//     with a drain budget proportional to occupancy, so a skewed shard
-//     cannot starve its siblings on the same core.
-//   * Bounded work stealing: a worker whose own rings are empty may claim a
-//     backlogged foreign ring's consumer token (SpscRing::TryAcquireConsumer)
-//     and pop up to steal_batches batches. Stolen records are RE-STEERED to
-//     the thief's primary shard — applied to a sketch only the thief ever
-//     writes — so the single-writer invariant holds even while helping.
+//     flow's packets converge on one shard. Worker s is the only consumer of
+//     ring s and the only writer of shard s's sketch, so the batched update
+//     path runs lock-free per core and no answer depends on thread timing.
 //   * Epoch-based rotation (ovs/epoch.h): the collector requests an epoch;
 //     each writer triple-buffer-swaps its sketch at a batch boundary (O(1),
 //     never blocking on readers) and the collector adds every published
 //     shard sketch's decode to one table: the union of decodes. Steered
-//     shards hold disjoint flows, so each keeps its full recording
-//     capacity, and a flow split by a steal or a seed rotation sums.
+//     shards hold disjoint flows, so each keeps its full recording capacity
+//     and no seed has to match.
 //   * Fault tolerance (docs/ROBUSTNESS.md): ring overflow policies, a per-
 //     shard graceful-degradation ladder, periodic per-shard checkpoints, and
-//     a watchdog that flags stalled shards and respawns killed workers from
-//     each owned shard's newest valid checkpoint. Faults are scripted
+//     a watchdog that flags stalled shards and respawns a killed worker from
+//     its shard's newest valid checkpoint. Faults are scripted
 //     deterministically via FaultPlan (ovs/fault.h), indexed by shard.
 //   * Adversarial hardening: windowed attack detection per shard, with seed
 //     rotation (core/seed_rotation.h) on a confirmed collision attack.
 //
 // Conservation contract (tests/scaleout_test.cpp): every offered record is
-// counted exactly once — offered == exact + degraded + rx_dropped across ALL
-// per-shard counters (ReadConservation; with stealing the per-shard balance
-// intentionally does NOT hold, only the global sum does), and the total
-// sketch mass over all collected epochs plus packets_lost_estimate equals
-// the total weight applied.
+// counted exactly once — offered == exact + degraded + rx_dropped for every
+// shard, and so across all per-shard counters (ReadConservation) — and the
+// total sketch mass over all collected epochs plus packets_lost_estimate
+// equals the total weight applied.
 #pragma once
 
 #include <cstdint>
@@ -51,15 +42,19 @@
 #include "obs/metrics.h"
 #include "ovs/fault.h"
 #include "ovs/spsc_ring.h"
-#include "ovs/steering.h"
 #include "packet/keys.h"
 
 namespace coco::ovs {
 
 struct ScaleoutConfig {
   size_t num_shards = 4;
-  size_t num_workers = 4;  // 1 <= workers <= shards
-  size_t num_groups = 1;   // 1 <= groups <= workers; unused (e2ebench sets it)
+  // Checked and otherwise unused (e2ebench/harness.h sets them): the
+  // datapath runs one worker per shard, so num_workers must equal
+  // num_shards, 1 <= num_groups <= num_workers, and stealing_enabled must
+  // stay false.
+  size_t num_workers = 4;
+  size_t num_groups = 1;
+  bool stealing_enabled = false;
 
   // NIC pacing shared by all producers; 0 disables the cap entirely (offline
   // replay / the scaling bench, where the compute path is the object).
@@ -80,19 +75,11 @@ struct ScaleoutConfig {
   OverflowPolicy overflow = OverflowPolicy::kBackpressure;
 
   // Graceful-degradation ladder, per shard: when ring occupancy reaches
-  // 3/4 of the ring capacity, the owner switches to sampled updates
-  // (probability degrade_sample_prob, weights compensated by 1/p so
+  // 3/4 of the ring capacity, the worker switches to sampled updates (each
+  // record kept with probability 1/4, its weight compensated by 4 so
   // estimates stay unbiased), and steps back to exact updates once
   // occupancy falls to 1/4 of it.
   bool degrade_enabled = false;
-  double degrade_sample_prob = 0.25;
-
-  // Work stealing: a worker with nothing of its own to drain steals from the
-  // fullest foreign ring whose occupancy is >= steal_threshold * capacity,
-  // at most steal_batches batches per steal. 0 batches or `false` disables.
-  bool stealing_enabled = true;
-  double steal_threshold = 0.5;
-  size_t steal_batches = 4;
 
   // Epoch rotation: the collector requests a rotation every
   // `rotation_interval_packets` globally drained packets and collects the
@@ -105,8 +92,8 @@ struct ScaleoutConfig {
   uint64_t checkpoint_interval = 0;
 
   // Watchdog poll timeout: a shard whose progress is frozen this long while
-  // work remains is flagged as stalled; a killed worker is respawned and
-  // every shard it owned restored from its newest valid checkpoint. 0 = off
+  // work remains is flagged as stalled; a killed worker is respawned and its
+  // shard restored from the shard's newest valid checkpoint. 0 = off
   // (auto-enabled at 200 ms when the fault plan injects kills — a killed
   // worker with no watchdog would hang a backpressured producer forever).
   uint64_t watchdog_timeout_ms = 0;
@@ -219,13 +206,10 @@ struct ScaleoutResult {
   double avg_batch_fill = 0.0;
   DatapathHealth health;
 
-  uint64_t steal_events = 0;    // bounded steals executed
-  uint64_t stolen_records = 0;  // records re-steered to a thief's shard
-
   uint64_t rotations = 0;          // successful per-shard epoch swaps
   uint64_t rotation_refusals = 0;  // TryRotate declined (reader lagging)
 
-  // False if the per-sketch writer-exclusion probe ever saw two workers in
+  // False if the per-sketch writer-exclusion probe ever saw two threads in
   // an apply section of the same sketch concurrently — the single-writer
   // invariant, checked structurally (TSan checks it at the byte level).
   bool single_writer_ok = true;
@@ -237,13 +221,11 @@ struct ScaleoutResult {
   // Union of every epoch's shard decodes, accumulated — the
   // control-plane flow table over the whole run (empty without a sketch).
   std::unordered_map<FiveTuple, uint64_t> merged_table;
-
-  ShardTopology topology;
 };
 
 // Runs the trace through the datapath. Records are pre-steered by full-key
 // hash into per-shard producer lists (the NIC's RSS stage); one producer
-// thread per shard paces and pushes, `num_workers` workers drain.
+// thread per shard paces and pushes, and one worker per shard drains.
 // Guaranteed to terminate for any config and FaultPlan: drops never block
 // producers, backpressured producers are always eventually drained, killed
 // workers are respawned by the watchdog, and rotation refusals never block

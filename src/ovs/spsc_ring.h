@@ -8,6 +8,11 @@
 // touching the contended cache line on every operation. Capacity is a power
 // of two so index wrapping is a mask. The consumer pops only in batches
 // (PopBatch), so the atomic traffic is paid per batch, not per element.
+//
+// In the datapath (ovs/scaleout.h) ring s has one consumer, shard s's
+// worker. A respawned worker takes over the consumer side only after the
+// watchdog has joined the killed one, and the join orders the handoff of
+// the consumer-local state (`tail_` and the `cached_head_` cache).
 #pragma once
 
 #include <atomic>
@@ -92,20 +97,6 @@ class SpscRing {
     return n;
   }
 
-  // Consumer-token handoff for bounded work stealing (ovs/scaleout.h). The
-  // ring stays single-consumer AT ANY INSTANT — what changes is which thread
-  // that consumer is: the owning worker normally, an idle thief for one
-  // bounded steal. Every PopBatch caller in a stealing topology must hold
-  // the token; test_and_set(acquire) / clear(release) hand the
-  // consumer-side cursor state (tail_ plus the cached_head_ cache) from one
-  // consumer to the next with the ordering a mutex would provide. The
-  // datapath takes it around every pop, stealing or not; uncontended that
-  // is one test_and_set and one clear per batch.
-  bool TryAcquireConsumer() {
-    return !consumer_token_.test_and_set(std::memory_order_acquire);
-  }
-  void ReleaseConsumer() { consumer_token_.clear(std::memory_order_release); }
-
   size_t capacity() const { return slots_.size(); }
 
  private:
@@ -114,7 +105,6 @@ class SpscRing {
   alignas(64) size_t cached_tail_ = 0;   // producer-local
   alignas(64) std::atomic<size_t> tail_{0};
   alignas(64) size_t cached_head_ = 0;   // consumer-local
-  alignas(64) std::atomic_flag consumer_token_ = ATOMIC_FLAG_INIT;
   size_t mask_;
   std::vector<T> slots_;
 };

@@ -1,23 +1,16 @@
-// RSS-style flow steering and shard placement for the multi-core scale-out
-// datapath (DESIGN.md §7).
+// RSS-style flow steering for the multi-core datapath (DESIGN.md §7).
 //
-// Steering: shard = Lemire-reduce(Hash64(full key, steering seed)) — a pure
-// function of (key, seed, num_shards), so the same flow always lands on the
-// same shard no matter how many worker threads poll, and every shard's
-// sketch has exactly one writer (the worker the placement assigns it to).
-// The steering seed is deliberately decoupled from the sketch hash seed:
-// correlating the two would make the per-shard bucket distribution a
+// shard = Lemire-reduce(Hash64(full key, steering seed)) — a pure function
+// of (key, seed, num_shards), so the same flow always lands on the same
+// shard, and every shard's sketch has exactly one writer: the shard's own
+// worker. The steering seed is deliberately decoupled from the sketch hash
+// seed: correlating the two would make the per-shard bucket distribution a
 // function of the shard split, which the unbiasedness tests (and a
 // white-box adversary) would notice.
-//
-// Placement: shard s is polled by worker s mod W, so ownership stays
-// balanced to within one shard and topologies are reproducible across runs
-// and testable without threads.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/check.h"
 #include "hash/bobhash.h"
@@ -52,14 +45,5 @@ class FlowSteering {
   uint64_t seed_;
   size_t shards_;
 };
-
-// Which worker owns which shards in the scale-out datapath.
-struct ShardTopology {
-  std::vector<size_t> shard_owner;                 // shard -> worker
-  std::vector<std::vector<size_t>> worker_shards;  // worker -> owned shards
-};
-
-// Round-robin placement: shard s goes to worker s mod num_workers.
-ShardTopology PlaceShards(size_t num_shards, size_t num_workers);
 
 }  // namespace coco::ovs

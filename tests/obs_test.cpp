@@ -220,14 +220,12 @@ TEST(Conservation, HoldsPerQueueOnFaultedRun) {
   ovs::ScaleoutConfig dp;
   dp.num_shards = 2;
   dp.num_workers = 2;
-  dp.stealing_enabled = false;  // per-shard balance holds without steals
   dp.metrics_prefix = "ovs";
   dp.nic_rate_mpps = 1000.0;
   dp.ring_capacity = 256;
   dp.sketch_memory_bytes = KiB(128);
   dp.overflow = ovs::OverflowPolicy::kDropNewest;
   dp.degrade_enabled = true;
-  dp.degrade_sample_prob = 0.25;
   dp.checkpoint_interval = 4096;
   dp.watchdog_timeout_ms = 50;
   dp.faults.stalls.push_back({0, 0, 30});

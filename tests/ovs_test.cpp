@@ -27,13 +27,11 @@
 namespace coco::ovs {
 namespace {
 
-// The shape the datapath tests run: one worker per shard and no stealing,
-// so every shard's records are drained and applied by its own worker.
+// A datapath of `shards` shards; RunScaleout runs one worker per shard.
 ScaleoutConfig OneWorkerPerShard(size_t shards) {
   ScaleoutConfig config;
   config.num_shards = shards;
   config.num_workers = shards;
-  config.stealing_enabled = false;
   return config;
 }
 
@@ -441,7 +439,6 @@ TEST(Datapath, DegradationLadderEngagesUnderOverloadAndRecovers) {
   dp.ring_capacity = 256;
   dp.overflow = OverflowPolicy::kDropNewest;
   dp.degrade_enabled = true;
-  dp.degrade_sample_prob = 0.25;
   dp.faults.stalls.push_back({0, 0, 150});  // first-batch stall builds backlog
   const auto result = RunScaleout(dp, trace);
   const DatapathHealth& h = result.health;

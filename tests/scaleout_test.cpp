@@ -1,16 +1,16 @@
 // Concurrency battery for the datapath, ovs::RunScaleout (DESIGN.md §7):
-// steering determinism and balance, round-robin placement, the
-// union of shard decodes against a monolithic sketch, epoch rotation
-// (writers never blocked, per-epoch mass conservation, no torn reads),
-// bounded work stealing on adversarially skewed fill, a killed worker's
-// shards restored across epochs, seed rotation surviving epoch swaps, the
-// merged table against a one-thread union (pinned across versions),
-// accuracy independent of the shard count, and the discovery-based
-// conservation check across runtime-variable shard counts.
+// steering determinism and balance, the union of shard decodes against a
+// monolithic sketch, epoch rotation (writers never blocked, per-epoch and
+// per-shard conservation, no torn reads), a killed worker's shard restored
+// across epochs, seed rotation surviving epoch swaps, the merged table
+// against a one-thread union (pinned across versions), accuracy
+// independent of the shard count, and the discovery-based conservation
+// check across runtime-variable shard counts.
 //
-// Thread counts scale with COCO_TEST_THREADS (CI runs the battery at 2 and
-// at the host's hardware concurrency); every threaded test also runs under
-// TSan and ASan via scripts/run_sanitizers.sh.
+// The datapath runs one worker per shard, so shard counts scale with
+// COCO_TEST_THREADS (CI runs the battery at 2 and at the host's hardware
+// concurrency); every threaded test also runs under TSan and ASan via
+// scripts/run_sanitizers.sh.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,7 +43,7 @@ namespace {
 
 using core::CocoSketch;
 
-// Worker-thread knob for the concurrency tests. CI exports
+// Shard-count knob for the concurrency tests. CI exports
 // COCO_TEST_THREADS=2 and =<hardware concurrency> on the scalar legs.
 size_t TestThreads() {
   if (const char* env = std::getenv("COCO_TEST_THREADS")) {
@@ -65,14 +65,19 @@ uint64_t TableMass(const std::unordered_map<FiveTuple, uint64_t>& table) {
   return total;
 }
 
-// What RunScaleout must collect with stealing off and no mid-run epochs,
-// computed on one thread: steer the trace with the run's steering seed,
-// UpdateBatch each shard's packets into its own sketch, and sum the
-// per-shard decodes.
+// What RunScaleout must collect with no mid-run epochs, computed on one
+// thread: steer the trace with the run's steering seed (derived from the
+// sketch seed when unset, as RunScaleout does), UpdateBatch each shard's
+// packets into its own sketch, and sum the per-shard decodes.
 std::unordered_map<FiveTuple, uint64_t> UnionOfShardDecodes(
     const ScaleoutConfig& config, const std::vector<Packet>& trace) {
   const size_t S = config.num_shards;
-  const FlowSteering steering(config.steering_seed, S);
+  uint64_t steer_seed = config.steering_seed;
+  if (steer_seed == 0) {
+    uint64_t mix = config.seed;
+    steer_seed = SplitMix64(mix);
+  }
+  const FlowSteering steering(steer_seed, S);
   std::vector<std::vector<Packet>> striped(S);
   for (const Packet& p : trace) striped[steering.Shard(p.key)].push_back(p);
   std::unordered_map<FiveTuple, uint64_t> table;
@@ -104,23 +109,6 @@ double TopFlowError(const std::unordered_map<FiveTuple, uint64_t>& table,
   return err_sum / static_cast<double>(n);
 }
 
-// Rewrites every packet's src_port until the flow steers to `target` — the
-// adversarial all-mass-on-one-shard fill for the stealing tests.
-std::vector<Packet> RetargetToShard(std::vector<Packet> trace,
-                                    const FlowSteering& steering,
-                                    size_t target) {
-  for (Packet& p : trace) {
-    FiveTuple k = p.key;
-    uint16_t port = k.src_port();
-    while (steering.Shard(k) != target) {
-      ++port;
-      k = FiveTuple(k.src_ip(), k.dst_ip(), port, k.dst_port(), k.proto());
-    }
-    p.key = k;
-  }
-  return trace;
-}
-
 // ---- Flow steering --------------------------------------------------------
 
 TEST(Steering, DeterministicPureFunctionOfSeedAndShards) {
@@ -131,8 +119,7 @@ TEST(Steering, DeterministicPureFunctionOfSeedAndShards) {
     const size_t s = a.Shard(p.key);
     ASSERT_LT(s, 8u);
     // Two instances with the same (seed, shards) agree on every key — the
-    // property that makes shard ownership meaningful across restarts and
-    // across any number of polling threads.
+    // property that makes shard ownership meaningful across restarts.
     ASSERT_EQ(s, b.Shard(p.key));
     any_differs_across_seeds |= s != other_seed.Shard(p.key);
   }
@@ -156,61 +143,6 @@ TEST(Steering, BalancedOverFlows) {
   for (size_t s = 0; s < shards; ++s) {
     EXPECT_GT(hist[s], mean * 0.9) << "shard " << s;
     EXPECT_LT(hist[s], mean * 1.1) << "shard " << s;
-  }
-}
-
-TEST(Steering, ShardAssignmentIndependentOfWorkerCount) {
-  // The per-shard offered counters are a pure function of the steering seed
-  // — one worker or many, every flow lands on the same shard.
-  const size_t S = 4;
-  const auto trace =
-      trace::GenerateTrace(trace::TraceConfig::CaidaLike(30000));
-  ScaleoutConfig config;
-  config.num_shards = S;
-  config.steering_seed = 99;
-  config.stealing_enabled = false;
-
-  obs::Registry reg_one, reg_many;
-  config.num_workers = 1;
-  config.registry = &reg_one;
-  RunScaleout(config, trace);
-  config.num_workers = S;
-  config.registry = &reg_many;
-  RunScaleout(config, trace);
-
-  for (size_t s = 0; s < S; ++s) {
-    const std::string name = "scaleout.q" + std::to_string(s) + ".offered";
-    EXPECT_EQ(reg_one.GetCounter(name)->Value(),
-              reg_many.GetCounter(name)->Value())
-        << name;
-  }
-}
-
-// ---- Placement ------------------------------------------------------------
-
-TEST(Placement, UniformCostBalancesWithinOneShard) {
-  const ShardTopology topo = PlaceShards(10, 4);
-  ASSERT_EQ(topo.shard_owner.size(), 10u);
-  std::vector<size_t> load(4, 0);
-  for (size_t s = 0; s < 10; ++s) {
-    ASSERT_LT(topo.shard_owner[s], 4u);
-    ++load[topo.shard_owner[s]];
-  }
-  for (size_t w = 0; w < 4; ++w) {
-    EXPECT_GE(load[w], 2u);
-    EXPECT_LE(load[w], 3u);  // ceil(10/4)
-    EXPECT_EQ(load[w], topo.worker_shards[w].size());
-    for (const size_t s : topo.worker_shards[w]) {
-      EXPECT_EQ(topo.shard_owner[s], w);
-    }
-  }
-  // The owner map is round-robin: shard s goes to worker s mod W.
-  for (const auto& [S, W] : std::vector<std::pair<size_t, size_t>>{
-           {1, 1}, {2, 2}, {4, 2}, {7, 3}, {10, 4}, {16, 5}, {64, 64}}) {
-    const ShardTopology t = PlaceShards(S, W);
-    for (size_t s = 0; s < S; ++s) {
-      EXPECT_EQ(t.shard_owner[s], s % W) << "S=" << S << " W=" << W;
-    }
   }
 }
 
@@ -304,8 +236,9 @@ TEST(Epoch, RotateRefuseRecycleCycle) {
 TEST(Scaleout, RotationUnderLoadConservesMassPerEpoch) {
   // Epochs rotate while the workers are mid-stream. Each collected epoch
   // must be internally consistent (sketch mass == writer-side applied
-  // weight: no torn reads, no lost or double-applied batches), and the
-  // epochs must partition the whole trace's mass exactly.
+  // weight: no torn reads, no lost or double-applied batches), the epochs
+  // must partition the whole trace's mass exactly, and every shard must
+  // account for each record steered to it.
   const size_t S = std::max<size_t>(TestThreads(), 2);
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(120000));
@@ -336,6 +269,14 @@ TEST(Scaleout, RotationUnderLoadConservesMassPerEpoch) {
   const ConservationView view = ReadConservation(&registry, "scaleout");
   EXPECT_TRUE(view.Holds());
   EXPECT_EQ(view.offered, trace.size());
+  for (size_t s = 0; s < S; ++s) {
+    const std::string q = "scaleout.q" + std::to_string(s) + ".";
+    EXPECT_EQ(registry.GetCounter(q + "offered")->Value(),
+              registry.GetCounter(q + "exact")->Value() +
+                  registry.GetCounter(q + "degraded")->Value() +
+                  registry.GetCounter(q + "rx_dropped")->Value())
+        << "shard " << s;
+  }
 }
 
 TEST(Scaleout, WritersNotStalledByMissingCollector) {
@@ -343,8 +284,8 @@ TEST(Scaleout, WritersNotStalledByMissingCollector) {
   // whole trace against their active sketches and the final sweep publishes
   // everything. Rotation machinery must impose nothing on this path.
   ScaleoutConfig config;
-  config.num_shards = 4;
-  config.num_workers = std::min<size_t>(TestThreads(), 4);
+  config.num_shards = std::min<size_t>(TestThreads(), 4);
+  config.num_workers = config.num_shards;
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(60000));
   const ScaleoutResult result = RunScaleout(config, trace);
@@ -355,68 +296,12 @@ TEST(Scaleout, WritersNotStalledByMissingCollector) {
   EXPECT_EQ(TableMass(result.merged_table), TraceWeight(trace));
 }
 
-// ---- Work stealing --------------------------------------------------------
-
-TEST(Scaleout, StealingDrainsAdversariallySkewedFill) {
-  // Flash-crowd fill retargeted so every record steers to shard 0: worker 0
-  // owns all the work, everyone else is idle unless stealing engages. The
-  // battery checks (a) steals actually happen, (b) every record is counted
-  // exactly once globally, (c) the single-writer probe never trips — stolen
-  // records are re-steered to the thief's own sketch, not applied in place.
-  // Sized so the run spans many scheduler periods even on a one-core host:
-  // a few-ms run can end before the kernel ever schedules the idle workers,
-  // which tests the scheduler, not the stealing policy.
-  const size_t S = std::max<size_t>(std::min<size_t>(TestThreads(), 4), 2);
-  const uint64_t steer_seed = 77;
-  const FlowSteering steering(steer_seed, S);
-  const auto honest = trace::GenerateUniformTrace(400000, 2000, 9);
-  const auto crowd =
-      trace::BuildFlashCrowdTrace(honest, /*crowd_flows=*/50000,
-                                  /*packets_per_flow=*/20,
-                                  /*start_fraction=*/0.25, 13);
-  const auto trace = RetargetToShard(crowd.packets, steering, 0);
-
-  obs::Registry registry;
-  ScaleoutConfig config;
-  config.num_shards = S;
-  config.num_workers = S;
-  config.steering_seed = steer_seed;
-  // Deep enough to hold the whole crowd: the backlog on shard 0 then stands
-  // for the duration of the drain instead of oscillating with the producer's
-  // scheduling quantum, so idle thieves reliably observe it even when the
-  // host serializes every thread onto one core.
-  config.ring_capacity = size_t{1} << 18;
-  config.steal_threshold = 0.01;  // floor ~2.6k records on the deep ring
-  config.steal_batches = 8;
-  config.registry = &registry;
-  const ScaleoutResult result = RunScaleout(config, trace);
-
-  EXPECT_GT(result.steal_events, 0u);
-  EXPECT_GT(result.stolen_records, 0u);
-  EXPECT_EQ(result.packets_processed, trace.size());
-  EXPECT_TRUE(result.single_writer_ok);
-  EXPECT_EQ(result.total_sketch_mass, TraceWeight(trace));
-  EXPECT_EQ(TableMass(result.merged_table), TraceWeight(trace));
-
-  // Per-queue balance is intentionally broken by re-steering (shard 0's
-  // offered mass was partly applied elsewhere); only the global sum holds.
-  const ConservationView global = ReadConservation(&registry, "scaleout");
-  EXPECT_TRUE(global.Holds());
-  EXPECT_EQ(global.offered, trace.size());
-  const uint64_t q0_offered =
-      registry.GetCounter("scaleout.q0.offered")->Value();
-  const uint64_t q0_exact = registry.GetCounter("scaleout.q0.exact")->Value();
-  EXPECT_EQ(q0_offered, trace.size());
-  EXPECT_EQ(q0_offered, q0_exact + result.stolen_records);
-}
-
 TEST(Scaleout, DropModeConservationIncludesRxDrops) {
   ScaleoutConfig config;
-  config.num_shards = 2;
-  config.num_workers = std::min<size_t>(TestThreads(), 2);
+  config.num_shards = std::min<size_t>(TestThreads(), 2);
+  config.num_workers = config.num_shards;
   config.ring_capacity = 256;
   config.overflow = OverflowPolicy::kDropNewest;
-  config.stealing_enabled = false;
   obs::Registry registry;
   config.registry = &registry;
   const auto trace =
@@ -431,8 +316,8 @@ TEST(Scaleout, DropModeConservationIncludesRxDrops) {
 
 TEST(Scaleout, WatchdogStaysQuietOnHealthyRun) {
   ScaleoutConfig config;
-  config.num_shards = 2;
-  config.num_workers = std::min<size_t>(TestThreads(), 2);
+  config.num_shards = std::min<size_t>(TestThreads(), 2);
+  config.num_workers = config.num_shards;
   config.watchdog_timeout_ms = 200;
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(40000));
@@ -444,10 +329,10 @@ TEST(Scaleout, WatchdogStaysQuietOnHealthyRun) {
 // ---- Faults, checkpoints and seed rotation on the multi-core path -------
 
 TEST(Scaleout, KilledWorkerRestoresEveryOwnedShardAcrossEpochs) {
-  // Four shards on two workers, epochs rotating mid-run: killing the owner
-  // of shard 0 takes down every shard that worker owns, and each one comes
-  // back from its own newest checkpoint of the ACTIVE epoch. Epochs here are
-  // shorter than the checkpoint interval, so most epochs end without a
+  // Four shards on four workers, epochs rotating mid-run: killing shard 0's
+  // worker loses shard 0's sketch state and nothing else, so shard 0 alone
+  // comes back from its newest checkpoint of the ACTIVE epoch. Epochs here
+  // are shorter than the checkpoint interval, so most epochs end without a
   // checkpoint: restoring an image of an epoch the collector already took
   // would count its records twice and break the mass identity below.
   const auto trace =
@@ -455,8 +340,7 @@ TEST(Scaleout, KilledWorkerRestoresEveryOwnedShardAcrossEpochs) {
   obs::Registry registry;
   ScaleoutConfig config;
   config.num_shards = 4;
-  config.num_workers = 2;
-  config.stealing_enabled = false;
+  config.num_workers = 4;
   config.nic_rate_mpps = 2.0;  // stretch the run so epochs land mid-stream
   config.rotation_interval_packets = 4000;
   config.checkpoint_interval = 3000;
@@ -466,18 +350,13 @@ TEST(Scaleout, KilledWorkerRestoresEveryOwnedShardAcrossEpochs) {
   const ScaleoutResult result = RunScaleout(config, trace);
   const DatapathHealth& h = result.health;
 
-  const std::vector<size_t>& lost_shards =
-      result.topology.worker_shards[result.topology.shard_owner[0]];
-  ASSERT_EQ(lost_shards.size(), 2u);
   EXPECT_EQ(h.kills_injected, 1u);
-  EXPECT_EQ(h.restores, lost_shards.size());
+  EXPECT_EQ(h.restores, 1u);
   for (size_t s = 0; s < config.num_shards; ++s) {
-    const bool lost = std::find(lost_shards.begin(), lost_shards.end(), s) !=
-                      lost_shards.end();
     EXPECT_EQ(registry
                   .GetCounter("scaleout.q" + std::to_string(s) + ".restores")
                   ->Value(),
-              lost ? 1u : 0u)
+              s == 0 ? 1u : 0u)
         << "shard " << s;
   }
   EXPECT_GT(h.checkpoints_taken, 0u);
@@ -504,7 +383,6 @@ TEST(Scaleout, SeedRotationSurvivesEpochSwapsAndFoldsPerSeed) {
   ScaleoutConfig config;
   config.num_shards = 2;
   config.num_workers = 2;
-  config.stealing_enabled = false;
   config.sketch_memory_bytes = KiB(32);
   config.seed = 0xc0c0;
   config.steering_seed = 0x51ee;
@@ -566,13 +444,19 @@ TEST(Scaleout, SeedRotationSurvivesEpochSwapsAndFoldsPerSeed) {
 }
 
 TEST(Scaleout, PinnedMergedTableMatchesAcrossVersions) {
-  // The benchmark's switch-path shape: 2 shards x 2 workers, 512 KiB, d=2,
-  // no stealing, no mid-run epochs, fixed seeds. Each shard has exactly one
-  // writer and collection sums the shards' decodes, so the merged table is
-  // a pure function of the trace: the union computed on one thread, and
-  // pinned by an order-independent digest of its (key, value) entries.
+  // Each shard has exactly one writer and collection sums the shards'
+  // decodes, so without mid-run epochs the merged table is a pure function
+  // of the trace: the union computed on one thread, whatever the thread
+  // timing. First the default config (4 shards, uncapped).
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(200'000));
+  const ScaleoutConfig defaults;
+  EXPECT_EQ(RunScaleout(defaults, trace).merged_table,
+            UnionOfShardDecodes(defaults, trace));
+
+  // Then the benchmark's switch-path shape: 2 shards x 2 workers, 512 KiB,
+  // d=2, fixed seeds, pinned by an order-independent digest of the table's
+  // (key, value) entries.
   ScaleoutConfig config;
   config.num_shards = 2;
   config.num_workers = 2;
@@ -581,7 +465,6 @@ TEST(Scaleout, PinnedMergedTableMatchesAcrossVersions) {
   config.d = 2;
   config.seed = 0x5eed;
   config.steering_seed = 0x57ee;
-  config.stealing_enabled = false;
   config.rotation_interval_packets = 0;
   const ScaleoutResult result = RunScaleout(config, trace);
   EXPECT_EQ(result.merged_table, UnionOfShardDecodes(config, trace));
@@ -597,8 +480,8 @@ TEST(Scaleout, PinnedMergedTableMatchesAcrossVersions) {
 }
 
 TEST(Scaleout, AccuracyDoesNotDependOnShardCount) {
-  // One 512 KiB budget at d=2 split over S = 1, 2, 4, 8 shards, stealing
-  // off, no mid-run epochs, fixed seeds, 1M CAIDA-like packets. Steered
+  // One 512 KiB budget at d=2 split over S = 1, 2, 4, 8 shards, no mid-run
+  // epochs, fixed seeds, 1M CAIDA-like packets. Steered
   // shards hold disjoint flows and the union of their decodes keeps every
   // shard's recording capacity, so heavy-hitter F1 at 1e-4 over the six
   // default keys must not move with S beyond sampling noise. A collection
@@ -612,13 +495,12 @@ TEST(Scaleout, AccuracyDoesNotDependOnShardCount) {
   for (const size_t S : {1, 2, 4, 8}) {
     ScaleoutConfig config;
     config.num_shards = S;
-    config.num_workers = std::min(S, TestThreads());
+    config.num_workers = S;
     config.nic_rate_mpps = 0.0;
     config.sketch_memory_bytes = KiB(512);
     config.d = 2;
     config.seed = 0xacc0;
     config.steering_seed = 0x5a1e;
-    config.stealing_enabled = false;
     config.rotation_interval_packets = 0;
     const ScaleoutResult result = RunScaleout(config, trace);
     ASSERT_EQ(result.total_sketch_mass, TraceWeight(trace));
