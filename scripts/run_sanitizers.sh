@@ -4,14 +4,18 @@
 # Builds the COCO_SANITIZE CMake presets and runs the tests that exercise the
 # code the sanitizers are aimed at:
 #   thread  — TSan over the lock-free SPSC rings, the one datapath's
-#             worker loop (ovs::RunScaleout: epoch rotation under load, the
-#             consumer handoff from a killed worker to its respawned
-#             replacement, the watchdog's stall-detect/kill/respawn paths
-#             with per-shard checkpoint restore, attack detection and seed
-#             rotation), the batched merge, the relaxed-atomic metrics
-#             registry, and the network-wide agent/collector transports —
-#             ovs_test, batch_test, obs_test, netwide_test,
-#             adversarial_test, scaleout_test
+#             worker loop and the control loop on its calling thread
+#             (ovs::RunScaleout: epoch rotation under load, the consumer
+#             handoff from a killed worker to its respawned replacement,
+#             stall detection, kill/respawn with per-shard checkpoint
+#             restore, attack detection and seed rotation), the batched
+#             merge, the relaxed-atomic metrics registry, and the
+#             network-wide agent/collector transports — ovs_test,
+#             batch_test, obs_test, netwide_test, adversarial_test,
+#             scaleout_test. The control loop's interleavings (a respawn
+#             during an epoch wait, say) depend on the shard count, so
+#             scaleout_test runs again at COCO_TEST_THREADS=2 and =8
+#             (about 20 s each under TSan on a 4-vCPU host).
 #   address — ASan+UBSan over the deserializers, fuzz loops, the
 #             frame/delta decoders, the key probes' word
 #             loads against the padded SoA key plane, and the hostile trace
@@ -48,7 +52,13 @@ fi
 
 for p in "${presets[@]}"; do
   case "$p" in
-    thread) run_preset thread ovs_test batch_test obs_test netwide_test adversarial_test scaleout_test ;;
+    thread)
+      run_preset thread ovs_test batch_test obs_test netwide_test adversarial_test scaleout_test
+      for n in 2 8; do
+        echo "--- thread: scaleout_test, COCO_TEST_THREADS=${n}"
+        COCO_TEST_THREADS="${n}" build-threadsan/tests/scaleout_test
+      done
+      ;;
     address) run_preset address fuzz_test ovs_test batch_test obs_test netwide_test adversarial_test scaleout_test ;;
     *)
       echo "unknown preset '$p' (expected: thread | address)" >&2

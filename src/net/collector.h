@@ -111,11 +111,13 @@ class Collector {
 
   // Sketch-level merge of every replica, in agent-id order. Every merge
   // draws its conflict coins from a fresh Rng(merge_seed), so the result
-  // depends only on the replicas and the merge seed.
+  // depends only on the replicas and the merge seed. Records this merge's
+  // saturation clamps for CheckConservation.
   Sketch MergedSketch() {
     const auto start = std::chrono::steady_clock::now();
     Sketch merged(options_.memory_bytes, options_.d, options_.seed);
     Rng rng(options_.merge_seed);
+    merge_saturated_ = 0;
     for (auto& [id, agent] : agents_) {
       if (!agent.replica) continue;
       const core::MergeStats stats =
@@ -312,7 +314,7 @@ class Collector {
   CollectorTransport* transport_;
   FrameReader reader_;
   std::map<uint32_t, AgentState> agents_;  // ordered: deterministic merges
-  uint64_t merge_saturated_ = 0;
+  uint64_t merge_saturated_ = 0;  // clamps of the last MergedSketch()
 
   obs::Counter* frames_ok_;
   obs::Counter* fulls_applied_;

@@ -76,16 +76,6 @@ class EpochShard {
     return std::exchange(published_, Published{});
   }
 
-  bool HasPublished() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return published_.sketch != nullptr;
-  }
-
-  uint64_t PublishedEpoch() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return published_.sketch == nullptr ? 0 : published_.epoch;
-  }
-
   // Reader, after consuming a taken sketch: clear it (reader-side cost) and
   // hand it back as the spare, re-arming the writer's next rotation.
   void Recycle(std::unique_ptr<Sketch> sketch) {
@@ -95,7 +85,7 @@ class EpochShard {
   }
 
  private:
-  mutable std::mutex mu_;  // guards published_ and spare_ (writer <-> reader)
+  std::mutex mu_;  // guards published_ and spare_ (writer <-> reader)
   std::unique_ptr<Sketch> active_;  // writer-exclusive
   std::unique_ptr<Sketch> spare_;
   Published published_;

@@ -11,7 +11,7 @@
 //
 // Threading contract: each fault targets one shard, and FaultInjector state
 // for a fault is only read/written by that shard's worker
-// (respawns are sequential: the watchdog joins the dead thread before
+// (respawns are sequential: the control loop joins the dead thread before
 // starting its replacement). Fired-event totals are atomics so the control
 // plane can read them from any thread.
 #pragma once
@@ -37,8 +37,8 @@ struct StallFault {
 
 // Worker death: once `after_packets` records have been applied to shard
 // `queue`, the shard's worker exits without draining its ring — a
-// crashed measurement process, whose sketch state is lost. Recovery is the
-// watchdog's job.
+// crashed measurement process, whose sketch state is lost. The control
+// loop respawns the worker, whatever the stall-detection setting.
 struct KillFault {
   size_t queue = 0;
   uint64_t after_packets = 0;

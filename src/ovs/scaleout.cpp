@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string_view>
 #include <thread>
@@ -27,14 +26,9 @@ namespace {
 
 using Sketch = core::CocoSketch<FiveTuple>;
 
-// epoch_done sentinel: the shard's worker exited and will never publish
-// again; the collector must stop waiting and leave the mass to the final
-// quiescent sweep.
-constexpr uint64_t kShardRetired = UINT64_MAX;
-
 // Worker lifecycle, advanced by the worker itself and observed by the
-// watchdog and the main thread. kExited means an injected kill took the
-// worker down and it needs a respawn; kDone means it finished for good.
+// control loop on the calling thread. kExited means an injected kill took
+// the worker down and it needs a respawn; kDone means it finished for good.
 constexpr int kRunning = 0;
 constexpr int kExited = 1;
 constexpr int kDone = 2;
@@ -114,9 +108,9 @@ void Bump(obs::Counter* counter, uint64_t n = 1) {
 }
 
 // Everything one shard owns, its worker thread included. Not movable
-// (atomics, mutexes), so RunScaleout holds shards behind unique_ptr. The
+// (atomics), so RunScaleout holds shards behind unique_ptr. The
 // writer-owned fields are touched only by the shard's worker; a respawned
-// worker inherits them after the watchdog has joined the dead one.
+// worker inherits them after the control loop has joined the dead one.
 struct Shard {
   Shard(const ScaleoutConfig& c, size_t memory_bytes, size_t s,
         ShardMetrics metrics)
@@ -137,11 +131,10 @@ struct Shard {
   ShardMetrics m;
   std::atomic<bool> producer_done{false};
   std::atomic<uint64_t> progress{0};  // records applied to this shard
-  // Last epoch this shard published (kShardRetired once its worker exits).
-  std::atomic<uint64_t> epoch_done{0};
+  std::atomic<uint64_t> epoch_done{0};  // last epoch this shard served
   // Writer-exclusion probe: 0 = free, 1 = a worker inside an apply
   // section. A failed claim means two threads raced one sketch: a
-  // replacement worker ran before the watchdog joined the killed one.
+  // replacement worker ran before the control loop joined the killed one.
   std::atomic<uint32_t> writer{0};
 
   // ---- writer-owned ----
@@ -162,33 +155,36 @@ struct Shard {
   uint64_t batches = 0;
   uint64_t update_cycles = 0;  // scaled up from the timed batches
   uint64_t epoch_rotations = 0;
-  uint64_t rotation_refusals = 0;
   // The counters kept for this shard: by its writer, except
-  // stalls_detected, which only the watchdog writes.
+  // stalls_detected, which only the control loop writes.
   DatapathHealth health;
 
   // The shard's worker, declared after everything it uses: its lifecycle
-  // status and thread handle. The mutex guards handle swaps between the
-  // watchdog and the joining main thread.
+  // status and thread handle. Only the calling thread swaps the handle.
   std::atomic<int> worker_status{kRunning};
-  std::mutex worker_mu;
   std::thread worker;
 };
 
-// Adds every source's decode to `table` — the union of the shards' decodes.
-// RSS steering gives the shards disjoint flows, so every shard keeps its own
-// recording capacity and no seed has to match. Returns the number of
-// distinct hash seeds.
-size_t CollectEpoch(const std::vector<const Sketch*>& sources,
-                    std::unordered_map<FiveTuple, uint64_t>* table) {
+// Collects one epoch: adds every source's decode to `table` — the union of
+// the shards' decodes — and returns the epoch's record. RSS steering gives
+// the shards disjoint flows, so every shard keeps its own recording
+// capacity and no seed has to match.
+EpochRecord CollectEpoch(uint64_t epoch, uint64_t applied_weight,
+                         const std::vector<const Sketch*>& sources,
+                         std::unordered_map<FiveTuple, uint64_t>* table) {
+  EpochRecord rec;
+  rec.epoch = epoch;
+  rec.applied_weight = applied_weight;
   std::vector<uint64_t> seeds;
   for (const Sketch* sketch : sources) {
+    rec.sketch_mass += sketch->TotalValue();
     sketch->DecodeInto(table);
     if (std::find(seeds.begin(), seeds.end(), sketch->seed()) == seeds.end()) {
       seeds.push_back(sketch->seed());
     }
   }
-  return seeds.size();
+  rec.seeds = seeds.size();
+  return rec;
 }
 
 void AddHealth(const DatapathHealth& from, DatapathHealth* to) {
@@ -279,14 +275,14 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
 
   FaultInjector injector(config.faults);
   const bool have_faults = !config.faults.Empty();
-  uint64_t watchdog_ms = config.watchdog_timeout_ms;
-  if (watchdog_ms == 0 && !config.faults.kills.empty()) watchdog_ms = 200;
 
   std::atomic<uint64_t> issued{0};  // NIC token accounting (rate-capped mode)
   std::atomic<uint64_t> requested_epoch{0};
-  std::atomic<uint64_t> drained_total{0};
   std::atomic<uint64_t> busy_cycles{0};
   std::atomic<bool> single_writer_violated{false};
+  // Bumped and notified by every worker exit, killed or done: the control
+  // loop blocks on it when it has nothing to poll for.
+  std::atomic<uint32_t> exits{0};
 
   // Start gate: no producer or worker proceeds until every thread has been
   // spawned. Without it, on a host that serializes threads onto few cores,
@@ -570,31 +566,27 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
 
       // Rotation check, once per polling cycle (== at a batch boundary).
       // A swap starts the shard's next epoch: its checkpoints belong to the
-      // epoch the collector now owns, so the store starts fresh, and a
+      // epoch the control plane now owns, so the store starts fresh, and a
       // spare built before a seed rotation is rebuilt on the shard's seed.
       const uint64_t req = requested_epoch.load(std::memory_order_acquire);
-      if (!killed && sh.cur_epoch < req) {
-        if (sh.sketches.TryRotate(req, sh.epoch_weight)) {
-          sh.epoch_weight = 0;
-          sh.cur_epoch = req;
-          sh.epoch_start = sh.progress.load(std::memory_order_relaxed);
-          sh.checkpoints.Clear();
-          ++sh.epoch_rotations;
-          Sketch* sk = sh.sketches.active();
-          if (sk->seed() != sh.seed) {
-            *sk = Sketch(per_shard_memory, config.d, sh.seed);
-          }
-          if (attack_detection) sh.monitor.Reset(sk->Stats());
-          sh.epoch_done.store(req, std::memory_order_release);
-          if (sh.m.epoch) sh.m.epoch->Set(static_cast<double>(req));
-        } else {
-          ++sh.rotation_refusals;
+      if (!killed && sh.cur_epoch < req &&
+          sh.sketches.TryRotate(req, sh.epoch_weight)) {
+        sh.epoch_weight = 0;
+        sh.cur_epoch = req;
+        sh.epoch_start = sh.progress.load(std::memory_order_relaxed);
+        sh.checkpoints.Clear();
+        ++sh.epoch_rotations;
+        Sketch* sk = sh.sketches.active();
+        if (sk->seed() != sh.seed) {
+          *sk = Sketch(per_shard_memory, config.d, sh.seed);
         }
+        if (attack_detection) sh.monitor.Reset(sk->Stats());
+        sh.epoch_done.store(req, std::memory_order_release);
+        if (sh.m.epoch) sh.m.epoch->Set(static_cast<double>(req));
       }
 
       if (drained != 0) {
         idle_streak = 0;
-        drained_total.fetch_add(drained, std::memory_order_relaxed);
         continue;
       }
       if (sh.producer_done.load(std::memory_order_acquire) &&
@@ -615,14 +607,9 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
 
     busy_cycles.fetch_add(ReadCycleCounter() - thread_begin,
                           std::memory_order_relaxed);
-    if (killed) {
-      sh.worker_status.store(kExited, std::memory_order_release);
-      return;
-    }
-    // Retire the shard so the collector stops waiting on it (its residual
-    // mass moves to the final sweep).
-    sh.epoch_done.store(kShardRetired, std::memory_order_release);
-    sh.worker_status.store(kDone, std::memory_order_release);
+    sh.worker_status.store(killed ? kExited : kDone, std::memory_order_release);
+    exits.fetch_add(1, std::memory_order_release);
+    exits.notify_one();
   };
 
   for (size_t s = 0; s < S; ++s) {
@@ -633,156 +620,105 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   wall.Restart();
   start_gate.store(true, std::memory_order_release);
 
-  // ---- Watchdog: respawns killed workers and flags shards whose progress
-  // froze while work remained. Join-before-respawn keeps each shard
-  // single-writer at all times. ----
-  std::atomic<bool> stop_watchdog{false};
-  std::thread watchdog;
-  if (watchdog_ms > 0) {
-    watchdog = std::thread([&] {
-      std::vector<StallDetector> detectors(S, StallDetector(watchdog_ms));
-      Stopwatch clock;
-      while (!stop_watchdog.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        const uint64_t now_ms =
-            static_cast<uint64_t>(clock.ElapsedSeconds() * 1e3);
-        for (size_t s = 0; s < S; ++s) {
-          Shard& sh = *shards[s];
-          if (sh.worker_status.load(std::memory_order_acquire) == kExited) {
-            std::lock_guard<std::mutex> lock(sh.worker_mu);
-            sh.worker.join();
-            sh.worker_status.store(kRunning, std::memory_order_release);
-            sh.worker = std::thread(worker_fn, s, true);
-          }
-          if (sh.epoch_done.load(std::memory_order_acquire) ==
-              kShardRetired) {
-            continue;
-          }
-          const bool pending =
-              !sh.producer_done.load(std::memory_order_acquire) ||
-              sh.ring.SizeApprox() != 0;
-          if (detectors[s].Observe(sh.progress.load(std::memory_order_relaxed),
-                                   now_ms, pending)) {
-            ++sh.health.stalls_detected;
-            Bump(sh.m.stalls_detected);
-          }
-        }
-      }
-    });
-  }
-
-  // ---- Epoch collector: requests rotations on a drained-packet cadence
-  // and collects each published epoch while the writers keep running. ----
+  // ---- Control plane, on the calling thread, until every worker is done:
+  // (a) join a killed worker and start its replacement (join-before-respawn
+  // keeps each shard single-writer at all times); (b) with a stall timeout,
+  // flag shards whose progress froze while work remained; (c) with a
+  // rotation interval, request epoch k once the shards have applied
+  // k * interval records, and collect it once every shard has served it or
+  // finished. It polls at the cadence its duties need and otherwise sleeps
+  // until a worker exits. ----
+  const bool detect_stalls = config.watchdog_timeout_ms != 0;
+  const uint64_t interval = config.rotation_interval_packets;
+  std::vector<StallDetector> detectors(
+      S, StallDetector(config.watchdog_timeout_ms));
   std::vector<EpochRecord> epochs;
   std::unordered_map<FiveTuple, uint64_t> merged_table;
-  const auto all_retired = [&] {
-    for (const auto& sh : shards) {
-      if (sh->epoch_done.load(std::memory_order_acquire) != kShardRetired) {
-        return false;
+  uint64_t requested = 0;  // last epoch requested
+  bool epoch_pending = false;
+  for (;;) {
+    const uint32_t exits_seen = exits.load(std::memory_order_acquire);
+    const uint64_t now_ms = static_cast<uint64_t>(wall.ElapsedSeconds() * 1e3);
+    bool all_done = true;
+    bool served = true;  // every running shard has served `requested`
+    uint64_t applied = 0;
+    for (size_t s = 0; s < S; ++s) {
+      Shard& sh = *shards[s];
+      const uint64_t progress = sh.progress.load(std::memory_order_relaxed);
+      applied += progress;
+      const int status = sh.worker_status.load(std::memory_order_acquire);
+      if (status == kDone) continue;
+      all_done = false;
+      if (status == kExited) {
+        sh.worker.join();
+        sh.worker_status.store(kRunning, std::memory_order_release);
+        sh.worker = std::thread(worker_fn, s, true);
+      }
+      served &= sh.epoch_done.load(std::memory_order_acquire) >= requested;
+      const bool pending = !sh.producer_done.load(std::memory_order_acquire) ||
+                           sh.ring.SizeApprox() != 0;
+      if (detect_stalls && detectors[s].Observe(progress, now_ms, pending)) {
+        ++sh.health.stalls_detected;
+        Bump(sh.m.stalls_detected);
       }
     }
-    return true;
-  };
-  std::thread collector;
-  uint64_t last_requested = 0;
-  if (config.rotation_interval_packets > 0) {
-    collector = std::thread([&] {
-      uint64_t next_mark = config.rotation_interval_packets;
-      uint64_t epoch = 0;
-      for (;;) {
-        bool all_done;
-        for (;;) {
-          all_done = all_retired();
-          if (all_done ||
-              drained_total.load(std::memory_order_relaxed) >= next_mark) {
-            break;
-          }
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-        if (all_done) break;
 
-        ++epoch;
-        requested_epoch.store(epoch, std::memory_order_release);
-        if (config.registry != nullptr) {
-          config.registry->GetGauge(config.metrics_prefix + ".run.epoch")
-              ->Set(static_cast<double>(epoch));
-        }
-
-        EpochRecord rec;
-        rec.epoch = epoch;
-        std::vector<std::pair<size_t, EpochShard<FiveTuple>::Published>>
-            taken;
-        taken.reserve(S);
-        for (size_t s = 0; s < S; ++s) {
-          // Wait for the shard to serve this epoch — or for its worker to
-          // retire, in which case the shard's mass lands in the final sweep.
-          while (shards[s]->epoch_done.load(std::memory_order_acquire) <
-                 epoch) {
-            std::this_thread::yield();
-          }
-          auto pub = shards[s]->sketches.TakePublished();
-          if (pub.sketch != nullptr) {
-            rec.applied_weight += pub.applied_weight;
-            rec.sketch_mass += pub.sketch->TotalValue();
-            ++rec.shards_published;
-            taken.emplace_back(s, std::move(pub));
-          }
-        }
-        std::vector<const Sketch*> sources;
-        sources.reserve(taken.size());
-        for (const auto& [s, pub] : taken) sources.push_back(pub.sketch.get());
-        rec.seeds = CollectEpoch(sources, &merged_table);
-        // Recycling re-arms each shard's next rotation; Clear() runs here,
-        // on the collector thread, never on a writer.
-        for (auto& [s, pub] : taken) {
-          shards[s]->sketches.Recycle(std::move(pub.sketch));
-        }
-        epochs.push_back(rec);
-        next_mark += config.rotation_interval_packets;
+    if (epoch_pending && served) {
+      // A shard that finished before serving the epoch publishes nothing;
+      // its mass lands in the final sweep. Recycling re-arms each shard's
+      // next rotation, and its Clear() runs here, never on a writer.
+      std::vector<std::unique_ptr<Sketch>> taken(S);
+      std::vector<const Sketch*> sources;
+      uint64_t weight = 0;
+      for (size_t s = 0; s < S; ++s) {
+        auto pub = shards[s]->sketches.TakePublished();
+        if (pub.sketch == nullptr) continue;
+        weight += pub.applied_weight;
+        sources.push_back(pub.sketch.get());
+        taken[s] = std::move(pub.sketch);
       }
-      last_requested = requested_epoch.load(std::memory_order_relaxed);
-    });
-  }
+      epochs.push_back(
+          CollectEpoch(requested, weight, sources, &merged_table));
+      for (size_t s = 0; s < S; ++s) {
+        if (taken[s]) shards[s]->sketches.Recycle(std::move(taken[s]));
+      }
+      epoch_pending = false;
+    }
+    if (all_done) break;
 
+    if (!epoch_pending && interval != 0 &&
+        applied >= (requested + 1) * interval) {
+      ++requested;
+      epoch_pending = true;
+      requested_epoch.store(requested, std::memory_order_release);
+      if (config.registry != nullptr) {
+        config.registry->GetGauge(config.metrics_prefix + ".run.epoch")
+            ->Set(static_cast<double>(requested));
+      }
+    }
+    if (interval != 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    } else if (detect_stalls) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } else {
+      exits.wait(exits_seen, std::memory_order_acquire);
+    }
+  }
   for (auto& t : producers) t.join();
-  for (auto& sh : shards) {
-    // A killed worker's replacement is the watchdog's to join; this thread
-    // joins only workers that finished for good.
-    if (watchdog_ms > 0) {
-      while (sh->worker_status.load(std::memory_order_acquire) != kDone) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    }
-    std::lock_guard<std::mutex> lock(sh->worker_mu);
-    sh->worker.join();
-  }
-  if (collector.joinable()) collector.join();
-  stop_watchdog.store(true, std::memory_order_release);
-  if (watchdog.joinable()) watchdog.join();
+  for (auto& sh : shards) sh->worker.join();
   const double seconds = wall.ElapsedSeconds();
 
-  // ---- Final quiescent sweep: leftover published epochs plus the active
-  // sketches, collected as one last epoch record. ----
-  EpochRecord final_rec;
-  final_rec.epoch = last_requested + 1;
-  std::vector<EpochShard<FiveTuple>::Published> leftovers;
+  // ---- Final quiescent sweep: the active sketches, collected as one last
+  // epoch. Every requested epoch was collected above, so none is left
+  // published. ----
   std::vector<const Sketch*> sources;
+  uint64_t weight = 0;
   for (const auto& sh : shards) {
-    auto pub = sh->sketches.TakePublished();
-    if (pub.sketch != nullptr) {
-      final_rec.applied_weight += pub.applied_weight;
-      final_rec.sketch_mass += pub.sketch->TotalValue();
-      leftovers.push_back(std::move(pub));
-    }
-    Sketch* active = sh->sketches.active();
-    final_rec.applied_weight += sh->epoch_weight;
-    final_rec.sketch_mass += active->TotalValue();
-    sources.push_back(active);
-    ++final_rec.shards_published;
+    sources.push_back(sh->sketches.active());
+    weight += sh->epoch_weight;
   }
-  for (const auto& pub : leftovers) sources.push_back(pub.sketch.get());
-  final_rec.seeds = CollectEpoch(sources, &merged_table);
-  epochs.push_back(final_rec);
+  epochs.push_back(
+      CollectEpoch(requested + 1, weight, sources, &merged_table));
 
   DatapathHealth& health = result.health;
   uint64_t update_cycles = 0;
@@ -792,7 +728,6 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
     health.degrade_enter_events += sh->ladder.enter_events();
     result.batches_drained += sh->batches;
     result.rotations += sh->epoch_rotations;
-    result.rotation_refusals += sh->rotation_refusals;
     update_cycles += sh->update_cycles;
   }
   health.stalls_injected = injector.stalls_fired();

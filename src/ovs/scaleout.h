@@ -12,17 +12,20 @@
 //     flow's packets converge on one shard. Worker s is the only consumer of
 //     ring s and the only writer of shard s's sketch, so the batched update
 //     path runs lock-free per core and no answer depends on thread timing.
-//   * Epoch-based rotation (ovs/epoch.h): the collector requests an epoch;
-//     each writer triple-buffer-swaps its sketch at a batch boundary (O(1),
-//     never blocking on readers) and the collector adds every published
-//     shard sketch's decode to one table: the union of decodes. Steered
-//     shards hold disjoint flows, so each keeps its full recording capacity
-//     and no seed has to match.
+//   * The control plane is RunScaleout's calling thread, one loop that
+//     respawns killed workers, flags stalled shards and collects epochs
+//     until every worker is done.
+//   * Epoch-based rotation (ovs/epoch.h): the control plane requests an
+//     epoch; each writer triple-buffer-swaps its sketch at a batch boundary
+//     (O(1), never blocking on readers) and the control plane adds every
+//     published shard sketch's decode to one table: the union of decodes.
+//     Steered shards hold disjoint flows, so each keeps its full recording
+//     capacity and no seed has to match.
 //   * Fault tolerance (docs/ROBUSTNESS.md): ring overflow policies, a per-
-//     shard graceful-degradation ladder, periodic per-shard checkpoints, and
-//     a watchdog that flags stalled shards and respawns a killed worker from
-//     its shard's newest valid checkpoint. Faults are scripted
-//     deterministically via FaultPlan (ovs/fault.h), indexed by shard.
+//     shard graceful-degradation ladder, periodic per-shard checkpoints,
+//     respawn of a killed worker from its shard's newest valid checkpoint,
+//     and optional stall detection. Faults are scripted deterministically
+//     via FaultPlan (ovs/fault.h), indexed by shard.
 //   * Adversarial hardening: windowed attack detection per shard, with seed
 //     rotation (core/seed_rotation.h) on a confirmed collision attack.
 //
@@ -81,9 +84,9 @@ struct ScaleoutConfig {
   // occupancy falls to 1/4 of it.
   bool degrade_enabled = false;
 
-  // Epoch rotation: the collector requests a rotation every
-  // `rotation_interval_packets` globally drained packets and collects the
-  // published shard sketches. 0 = no mid-run epochs (one final sweep).
+  // Epoch rotation: the control plane requests epoch k once the shards have
+  // applied k * `rotation_interval_packets` records in total, and collects
+  // the published shard sketches. 0 = no mid-run epochs (one final sweep).
   uint64_t rotation_interval_packets = 0;
 
   // Periodic checkpointing: every `checkpoint_interval` records applied to a
@@ -91,11 +94,9 @@ struct ScaleoutConfig {
   // epoch rotation starts a fresh checkpoint store. 0 = off.
   uint64_t checkpoint_interval = 0;
 
-  // Watchdog poll timeout: a shard whose progress is frozen this long while
-  // work remains is flagged as stalled; a killed worker is respawned and its
-  // shard restored from the shard's newest valid checkpoint. 0 = off
-  // (auto-enabled at 200 ms when the fault plan injects kills — a killed
-  // worker with no watchdog would hang a backpressured producer forever).
+  // Stall detection: a shard whose progress is frozen this long while work
+  // remains is flagged as stalled. 0 = off. Killed workers are respawned
+  // (and their shards restored from the newest valid checkpoint) either way.
   uint64_t watchdog_timeout_ms = 0;
 
   // Scripted faults, each keyed to one shard's progress (empty = fault-free).
@@ -160,7 +161,7 @@ struct DatapathHealth {
   uint64_t degrade_enter_events = 0;  // exact -> degraded transitions
   uint64_t stalls_injected = 0;       // FaultPlan stalls that fired
   uint64_t kills_injected = 0;        // FaultPlan kills that fired
-  uint64_t stalls_detected = 0;       // watchdog stall detections (per shard)
+  uint64_t stalls_detected = 0;       // stall detections (per shard)
   uint64_t checkpoints_taken = 0;
   uint64_t checkpoints_rejected = 0;  // restore candidates failing checksum
   uint64_t restores = 0;              // shards rebuilt after a worker respawn
@@ -183,7 +184,6 @@ struct DatapathHealth {
 // requested + 1).
 struct EpochRecord {
   uint64_t epoch = 0;
-  size_t shards_published = 0;
   // Writer-side accounting: total weight applied into the published sketches
   // during the epoch. Exactly equals sketch_mass when nothing saturated —
   // the no-torn-reads / conservation invariant of the rotation tests.
@@ -206,8 +206,7 @@ struct ScaleoutResult {
   double avg_batch_fill = 0.0;
   DatapathHealth health;
 
-  uint64_t rotations = 0;          // successful per-shard epoch swaps
-  uint64_t rotation_refusals = 0;  // TryRotate declined (reader lagging)
+  uint64_t rotations = 0;  // successful per-shard epoch swaps
 
   // False if the per-sketch writer-exclusion probe ever saw two threads in
   // an apply section of the same sketch concurrently — the single-writer
@@ -225,11 +224,15 @@ struct ScaleoutResult {
 
 // Runs the trace through the datapath. Records are pre-steered by full-key
 // hash into per-shard producer lists (the NIC's RSS stage); one producer
-// thread per shard paces and pushes, and one worker per shard drains.
+// thread per shard paces and pushes, and one worker per shard drains. The
+// calling thread is the control plane, so the run starts no threads beyond
+// those and the replacements for killed workers. It polls every 100 us with
+// epochs, every 1 ms with stall detection only, and otherwise sleeps until
+// a worker exits.
 // Guaranteed to terminate for any config and FaultPlan: drops never block
-// producers, backpressured producers are always eventually drained, killed
-// workers are respawned by the watchdog, and rotation refusals never block
-// a writer.
+// producers, backpressured producers are always eventually drained, the
+// calling thread respawns every killed worker, and a refused rotation never
+// blocks a writer.
 ScaleoutResult RunScaleout(const ScaleoutConfig& config,
                            const std::vector<Packet>& trace);
 

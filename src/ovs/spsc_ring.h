@@ -11,8 +11,8 @@
 //
 // In the datapath (ovs/scaleout.h) ring s has one consumer, shard s's
 // worker. A respawned worker takes over the consumer side only after the
-// watchdog has joined the killed one, and the join orders the handoff of
-// the consumer-local state (`tail_` and the `cached_head_` cache).
+// control loop has joined the killed one, and the join orders the handoff
+// of the consumer-local state (`tail_` and the `cached_head_` cache).
 #pragma once
 
 #include <atomic>
@@ -68,7 +68,7 @@ class SpscRing {
   }
 
   // Approximate occupancy, callable from any thread (watermark checks, the
-  // watchdog's work-pending test). Reading tail before head keeps the
+  // stall detector's work-pending test). Reading tail before head keeps the
   // difference non-negative: tail never passes the head value read later.
   // Clamped to capacity because the producer may push between the two loads.
   size_t SizeApprox() const {

@@ -2,12 +2,13 @@
 // stall detection.
 //
 // The datapath's recovery story (docs/ROBUSTNESS.md): each shard's writer
-// periodically serializes the shard's sketch into a CheckpointStore; a
-// monitor thread watches per-shard progress counters and, when a worker
-// dies, respawns it and restores its shard from the newest checkpoint
-// image that passes its checksum. Both pieces here are
-// deliberately free of threads and clocks — the caller supplies
-// timestamps — so tests can drive every path deterministically.
+// periodically serializes the shard's sketch into a CheckpointStore; the
+// control loop on RunScaleout's calling thread watches per-shard progress
+// counters and, when a worker dies, respawns it, and the replacement
+// restores its shard from the newest checkpoint image that passes its
+// checksum. Both pieces here are deliberately free of threads and clocks —
+// the caller supplies timestamps — so tests can drive every path
+// deterministically.
 #pragma once
 
 #include <cstdint>

@@ -9,10 +9,6 @@
 namespace coco::p4 {
 namespace {
 
-bool IsStatefulWrite(Op op) {
-  return op == Op::kRegAdd || op == Op::kKeyWriteCond;
-}
-
 bool TouchesArray(Op op) {
   return op == Op::kRegAdd || op == Op::kRegRead || op == Op::kKeyCompare ||
          op == Op::kKeyWriteCond;

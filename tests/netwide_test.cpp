@@ -538,6 +538,37 @@ TEST(Netwide, LoopbackEndToEndMatchesGroundTruth) {
       << "two merges of the same replicas decoded differently";
 }
 
+TEST(Netwide, SaturationCountIsPerMerge) {
+  // Two agents record the same flow at 3e9 each, so every merge clamps that
+  // flow's bucket at UINT32_MAX. CheckConservation reports the clamps of its
+  // own merge, however many merges (checks, decodes) ran before it.
+  LoopbackHub hub;
+  obs::Registry registry;
+  auto ct = hub.MakeCollectorTransport();
+  NetCollector collector(CollectorOptions(), &ct, &registry);
+  Sketch a(kMem, 2), b(kMem, 2);
+  auto ta = hub.MakeAgentTransport(1);
+  auto tb = hub.MakeAgentTransport(2);
+  NetAgent agent_a({.id = 1}, &a, &ta, &registry);
+  NetAgent agent_b({.id = 2}, &b, &tb, &registry);
+  const FiveTuple flow(1, 2, 3, 4, 6);
+  a.Update(flow, 3'000'000'000u);
+  b.Update(flow, 3'000'000'000u);
+  agent_a.ExportEpoch();
+  agent_b.ExportEpoch();
+  Converge({&agent_a, &agent_b}, &collector);
+  ASSERT_EQ(collector.AgentCount(), 2u);
+
+  EXPECT_EQ(collector.CheckConservation().saturated, 1u);
+  EXPECT_EQ(collector.CheckConservation().saturated, 1u);
+  collector.DecodeMerged();
+  const auto c = collector.CheckConservation();
+  EXPECT_EQ(c.saturated, 1u);
+  EXPECT_EQ(c.replica_mass, 6'000'000'000u);
+  EXPECT_EQ(c.merged_mass, uint64_t{UINT32_MAX});
+  EXPECT_TRUE(c.Holds());  // the clamp is the one legal discrepancy
+}
+
 TEST(Netwide, SecondEpochShipsDeltaNotFull) {
   LoopbackHub hub;
   obs::Registry registry;
