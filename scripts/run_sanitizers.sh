@@ -18,8 +18,10 @@
 #             (about 20 s each under TSan on a 4-vCPU host).
 #   address — ASan+UBSan over the deserializers, fuzz loops, the
 #             frame/delta decoders, the key probes' word
-#             loads against the padded SoA key plane, and the hostile trace
-#             generators (fuzz_test plus the same six, for free)
+#             loads against the padded SoA key plane, Hash64's overlapping
+#             tail loads against exact-size inputs of every length 0..40,
+#             and the hostile trace generators (fuzz_test, hash_test, plus
+#             the same six, for free)
 #
 # Usage:
 #   scripts/run_sanitizers.sh            # both presets
@@ -59,7 +61,7 @@ for p in "${presets[@]}"; do
         COCO_TEST_THREADS="${n}" build-threadsan/tests/scaleout_test
       done
       ;;
-    address) run_preset address fuzz_test ovs_test batch_test obs_test netwide_test adversarial_test scaleout_test ;;
+    address) run_preset address fuzz_test hash_test ovs_test batch_test obs_test netwide_test adversarial_test scaleout_test ;;
     *)
       echo "unknown preset '$p' (expected: thread | address)" >&2
       exit 2

@@ -242,6 +242,7 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
              "groups must satisfy 1 <= groups <= workers");
   COCO_CHECK(!config.stealing_enabled,
              "stealing_enabled must be false: only a shard's worker drains it");
+  COCO_CHECK(S <= 256, "shard ids are one byte: at most 256 shards");
   const size_t drain_batch = config.drain_batch < 1 ? 1 : config.drain_batch;
   const size_t per_shard_memory = config.sketch_memory_bytes / S;
   const bool checkpointing =
@@ -251,17 +252,16 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
 
   ScaleoutResult result;
 
-  // RSS stage: pre-steer the trace into per-shard producer lists, so the
-  // producer threads only pace and push.
+  // RSS stage, run by the producers (below): one shard-id byte per record.
   uint64_t steer_seed = config.steering_seed;
   if (steer_seed == 0) {
     uint64_t mix = config.seed;
     steer_seed = SplitMix64(mix);
   }
   const FlowSteering steering(steer_seed, S);
-  std::vector<std::vector<Packet>> striped(S);
-  for (auto& v : striped) v.reserve(trace.size() / S + 1);
-  for (const Packet& p : trace) striped[steering.Shard(p.key)].push_back(p);
+  const size_t N = trace.size();
+  std::vector<uint8_t> shard_of(N);
+  std::atomic<size_t> slices_steered{0};
 
   // Triple-buffered per-shard sketches, on the configured hash seed until a
   // seed rotation moves a shard off it.
@@ -295,11 +295,14 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   const double rate_pps = config.nic_rate_mpps * 1e6;
   const bool drop_mode = config.overflow == OverflowPolicy::kDropNewest;
 
-  // ---- Producers: one per shard ring (single-producer invariant), pacing
-  // against the shared NIC token bucket when a rate cap is set. The NIC
-  // delivers in bursts of drain_batch records, like a DPDK rx burst: one
-  // token claim and one clock read per burst, so the producers themselves
-  // never become the cap. ----
+  // ---- Producers: one per shard ring (single-producer invariant). Producer
+  // s steers slice [N*s/S, N*(s+1)/S) of the trace into `shard_of`, waits
+  // until every slice is steered, then walks the ids in trace order and
+  // pushes its shard's records, so each shard sees its records in trace
+  // order. With a rate cap it paces against the shared NIC token bucket.
+  // The NIC delivers in bursts of up to drain_batch records, like a DPDK rx
+  // burst: one token claim and one clock read per burst, so the producers
+  // themselves never become the cap. ----
   std::vector<std::thread> producers;
   producers.reserve(S);
   for (size_t s = 0; s < S; ++s) {
@@ -307,28 +310,39 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
       while (!start_gate.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
+      for (size_t i = N * s / S; i < N * (s + 1) / S; ++i) {
+        shard_of[i] = static_cast<uint8_t>(steering.Shard(trace[i].key));
+      }
+      slices_steered.fetch_add(1, std::memory_order_acq_rel);
+      while (slices_steered.load(std::memory_order_acquire) < S) {
+        std::this_thread::yield();
+      }
       Shard& sh = *shards[s];
-      const std::vector<Packet>& mine = striped[s];
-      for (size_t begin = 0; begin < mine.size(); begin += drain_batch) {
-        const size_t end = std::min(mine.size(), begin + drain_batch);
+      std::vector<const Packet*> burst(drain_batch);
+      size_t next = 0;  // next trace index to look at
+      for (;;) {
+        size_t n = 0;
+        for (; next < N && n < drain_batch; ++next) {
+          if (shard_of[next] == s) burst[n++] = &trace[next];
+        }
+        if (n == 0) break;
         if (rate_pps > 0) {
           // Wait until the NIC would have delivered the burst's last record.
           const uint64_t last =
-              issued.fetch_add(end - begin, std::memory_order_relaxed) +
-              (end - begin) - 1;
+              issued.fetch_add(n, std::memory_order_relaxed) + n - 1;
           while (static_cast<double>(last) >=
                  wall.ElapsedSeconds() * rate_pps) {
             std::this_thread::yield();
           }
         }
-        for (size_t i = begin; i < end; ++i) {
+        for (size_t i = 0; i < n; ++i) {
           // Offered before the record can surface anywhere else (ring, drop
           // counter), so the live registry view never over-accounts.
           Bump(sh.m.offered);
           if (drop_mode) {
-            if (!sh.ring.PushOrDrop(mine[i])) Bump(sh.m.rx_dropped);
+            if (!sh.ring.PushOrDrop(*burst[i])) Bump(sh.m.rx_dropped);
           } else {
-            while (!sh.ring.TryPush(mine[i])) std::this_thread::yield();
+            while (!sh.ring.TryPush(*burst[i])) std::this_thread::yield();
           }
         }
       }

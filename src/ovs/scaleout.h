@@ -8,10 +8,11 @@
 // NIC-capped runs saturate at the cap once enough threads are added — the
 // shape of Fig. 15(a) — and uncapped runs measure the compute path itself.
 //
-//   * RSS flow steering (ovs/steering.h): shard = hash(full key), so every
-//     flow's packets converge on one shard. Worker s is the only consumer of
-//     ring s and the only writer of shard s's sketch, so the batched update
-//     path runs lock-free per core and no answer depends on thread timing.
+//   * RSS flow steering (ovs/steering.h), done by the producers: shard =
+//     hash(full key), so every flow's packets converge on one shard, in
+//     trace order. Worker s is the only consumer of ring s and the only
+//     writer of shard s's sketch, so the batched update path runs lock-free
+//     per core and no answer depends on thread timing.
 //   * The control plane is RunScaleout's calling thread, one loop that
 //     respawns killed workers, flags stalled shards and collects epochs
 //     until every worker is done.
@@ -193,6 +194,10 @@ struct EpochRecord {
 };
 
 struct ScaleoutResult {
+  // Records processed per second of the datapath's clock, which runs from
+  // the start gate (every thread spawned) to the last join: producer-side
+  // steering, ring handoff, sketch updates and mid-run epoch collection. It
+  // excludes sketch allocation, thread spawn and the final decode.
   double mpps = 0.0;
   uint64_t packets_processed = 0;  // exact + degraded (excludes rx drops)
   uint64_t rx_dropped = 0;         // == health.rx_dropped
@@ -222,13 +227,14 @@ struct ScaleoutResult {
   std::unordered_map<FiveTuple, uint64_t> merged_table;
 };
 
-// Runs the trace through the datapath. Records are pre-steered by full-key
-// hash into per-shard producer lists (the NIC's RSS stage); one producer
-// thread per shard paces and pushes, and one worker per shard drains. The
-// calling thread is the control plane, so the run starts no threads beyond
-// those and the replacements for killed workers. It polls every 100 us with
-// epochs, every 1 ms with stall detection only, and otherwise sleeps until
-// a worker exits.
+// Runs the trace through the datapath. The producers are the NIC's RSS
+// stage: each steers one slice of the trace by full-key hash into one
+// shard-id byte per record (so at most 256 shards), and once every slice is
+// steered, each pushes its own shard's records in trace order, paced by the
+// NIC cap. One worker per shard drains. The calling thread is the control
+// plane, so the run starts no threads beyond those and the replacements for
+// killed workers. It polls every 100 us with epochs, every 1 ms with stall
+// detection only, and otherwise sleeps until a worker exits.
 // Guaranteed to terminate for any config and FaultPlan: drops never block
 // producers, backpressured producers are always eventually drained, the
 // calling thread respawns every killed worker, and a refused rotation never

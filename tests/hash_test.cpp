@@ -1,10 +1,13 @@
 // Unit tests for src/hash: determinism, seed independence, avalanche
-// behaviour, bucket-distribution uniformity of the hash family, and the
-// window hash's bit-exactness against MultiHash::Slots.
+// behaviour, bucket-distribution uniformity of the hash family, Hash64's
+// bit-exactness against its byte-wise tail reference, and the window hash's
+// bit-exactness against MultiHash::Slots.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -83,6 +86,73 @@ TEST(Hash64, ShortAndLongInputs) {
     outputs.insert(Hash64(buf, len, 0));
   }
   EXPECT_EQ(outputs.size(), sizeof(buf) + 1);
+}
+
+// Hash64 as it read with a variable-length memcpy tail: the reference its
+// fixed-size tail loads must match bit for bit.
+uint64_t ReferenceFmix64(uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdULL;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ULL;
+  k ^= k >> 33;
+  return k;
+}
+
+uint64_t ByteWiseTailHash64(const void* data, size_t len, uint64_t seed) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint64_t h = seed ^ (len * 0xc6a4a7935bd1e995ULL);
+  while (len >= 8) {
+    uint64_t k;
+    std::memcpy(&k, p, 8);
+    h = (h ^ ReferenceFmix64(k)) * 0x9ddfea08eb382d69ULL;
+    p += 8;
+    len -= 8;
+  }
+  if (len > 0) {
+    uint64_t k = 0;
+    std::memcpy(&k, p, len);
+    h = (h ^ ReferenceFmix64(k | (static_cast<uint64_t>(len) << 56))) *
+        0x9ddfea08eb382d69ULL;
+  }
+  return ReferenceFmix64(h);
+}
+
+TEST(Hash64, MatchesByteWiseTailReference) {
+  // Every length 0..40 (each tail shape, with and without a full word
+  // before it), random bytes and seeds. Each input sits in an allocation of
+  // exactly its length, so ASan flags any load outside [data, data + len).
+  const uint64_t rng_seed = ProcessSeed();
+  SCOPED_TRACE(testing::Message() << "COCO_SEED=" << std::hex << rng_seed);
+  Rng rng(rng_seed);
+  for (size_t len = 0; len <= 40; ++len) {
+    for (int i = 0; i < 10000; ++i) {
+      const auto bytes = std::make_unique<uint8_t[]>(len);
+      for (size_t j = 0; j < len; ++j) {
+        bytes[j] = static_cast<uint8_t>(rng.Next());
+      }
+      const uint64_t seed = rng.Next();
+      ASSERT_EQ(Hash64(bytes.get(), len, seed),
+                ByteWiseTailHash64(bytes.get(), len, seed))
+          << "len " << len;
+    }
+  }
+
+  // Outputs of the memcpy-tail Hash64, so a change made to both copies
+  // above still fails.
+  uint8_t buf[40];
+  for (size_t i = 0; i < sizeof(buf); ++i) {
+    buf[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  const std::pair<size_t, uint64_t> pinned[] = {
+      {1, 0x8b9a17c238ab5760ULL},  {3, 0xab4bf56a8950c3eaULL},
+      {4, 0x3233cea48040a685ULL},  {7, 0xa23e4f5c91b43ff0ULL},
+      {8, 0x3172af517c387ac8ULL},  {13, 0xbe7208f9b58ffb4dULL},
+      {40, 0x824b5ab03d5a4bc0ULL},
+  };
+  for (const auto& [len, want] : pinned) {
+    EXPECT_EQ(Hash64(buf, len, 0x636f636fULL), want) << "len " << len;
+  }
 }
 
 TEST(HashU64, MixesValues) {

@@ -501,6 +501,54 @@ TEST(Scaleout, PinnedMergedTableMatchesAcrossVersions) {
   EXPECT_EQ(digest, 0x07c7f765fba5e6f7ULL) << std::hex << digest;
 }
 
+TEST(Scaleout, ProducersSteerEachRecordToItsFlowSteeringShard) {
+  // Every record reaches the shard FlowSteering maps it to, whatever the
+  // slice edges: 3 shards slice unevenly, and traces of 0, 1 and 7 records
+  // are smaller than, or not a multiple of, the shard count. Then one
+  // NIC-capped run, where the producers pace their bursts.
+  const auto full =
+      trace::GenerateTrace(trace::TraceConfig::CaidaLike(100'003));
+  const auto check = [](const ScaleoutConfig& base,
+                        const std::vector<Packet>& trace) {
+    SCOPED_TRACE(testing::Message() << base.num_shards << " shards, "
+                                    << trace.size() << " records");
+    obs::Registry registry;
+    ScaleoutConfig config = base;
+    config.registry = &registry;
+    const ScaleoutResult result = RunScaleout(config, trace);
+
+    const FlowSteering steering(config.steering_seed, config.num_shards);
+    std::vector<uint64_t> steered(config.num_shards, 0);
+    for (const Packet& p : trace) ++steered[steering.Shard(p.key)];
+    for (size_t s = 0; s < config.num_shards; ++s) {
+      EXPECT_EQ(registry.GetCounter("scaleout.q" + std::to_string(s) +
+                                    ".offered")
+                    ->Value(),
+                steered[s])
+          << "shard " << s;
+    }
+    EXPECT_EQ(result.merged_table, UnionOfShardDecodes(config, trace));
+    const ConservationView view = ReadConservation(&registry);
+    EXPECT_TRUE(view.Holds());
+    EXPECT_EQ(view.offered, trace.size());
+  };
+
+  ScaleoutConfig config;
+  config.steering_seed = 0x51ed;
+  for (const size_t S : {1, 3, 8}) {
+    config.num_shards = S;
+    config.num_workers = S;
+    for (const size_t n : {0, 1, 7, 100'003}) {
+      check(config, std::vector<Packet>(full.begin(), full.begin() + n));
+    }
+  }
+
+  config.num_shards = 3;
+  config.num_workers = 3;
+  config.nic_rate_mpps = 20.0;
+  check(config, std::vector<Packet>(full.begin(), full.begin() + 100'000));
+}
+
 TEST(Scaleout, AccuracyDoesNotDependOnShardCount) {
   // One 512 KiB budget at d=2 split over S = 1, 2, 4, 8 shards, no mid-run
   // epochs, fixed seeds, 1M CAIDA-like packets. Steered
