@@ -37,9 +37,7 @@ int main() {
   for (size_t d : {2, 3, 4}) {
     core::CocoSketch<FiveTuple> coco(memory, d);
     for (const Packet& p : trace) coco.Update(p.key, p.weight);
-    const auto errors = metrics::AbsoluteErrors(
-        std::unordered_map<FiveTuple, uint64_t>(coco.Decode()),
-        truth.counts());
+    const auto errors = metrics::AbsoluteErrors(coco.Decode(), truth.counts());
     PrintCdfTail("d=" + std::to_string(d), errors);
   }
   {

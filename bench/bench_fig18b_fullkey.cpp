@@ -17,8 +17,9 @@ using namespace coco::bench;
 
 namespace {
 
-double Are(const std::unordered_map<DynKey, uint64_t>& est,
-           const trace::ExactCounter<DynKey>& exact) {
+// `est` is a query::FlowTable or a baseline's std::unordered_map.
+template <typename Table>
+double Are(const Table& est, const trace::ExactCounter<DynKey>& exact) {
   double sum = 0;
   for (const auto& [key, true_size] : exact.counts()) {
     auto it = est.find(key);

@@ -109,7 +109,7 @@ inline Solution MakeUss(size_t memory,
                         std::vector<keys::TupleKeySpec> specs) {
   auto sketch =
       std::make_shared<sketch::UnbiasedSpaceSaving<FiveTuple>>(memory);
-  auto cache = std::make_shared<query::FlowTable<FiveTuple>>();
+  auto cache = std::make_shared<decltype(sketch->Decode())>();
   auto specs_ptr =
       std::make_shared<std::vector<keys::TupleKeySpec>>(std::move(specs));
   return {
@@ -149,7 +149,8 @@ Solution MakePerKey(std::string name, size_t total_memory,
         }
       },
       [sketches](size_t i) {
-        return query::FlowTable<DynKey>((*sketches)[i]->Decode());
+        const auto decoded = (*sketches)[i]->Decode();
+        return query::FlowTable<DynKey>(decoded.begin(), decoded.end());
       },
       [sketches] {
         for (auto& s : *sketches) s->Clear();

@@ -33,9 +33,7 @@ int main() {
 
   // Control plane: decode register state, aggregate a partial key.
   const auto table = sketch.Decode();
-  const auto by_src = query::Aggregate(
-      query::FlowTable<FiveTuple>(table.begin(), table.end()),
-      keys::TupleKeySpec::SrcIp());
+  const auto by_src = query::Aggregate(table, keys::TupleKeySpec::SrcIp());
   std::printf("decoded %zu full-key flows from the register arrays\n",
               table.size());
   std::printf("top sources recovered from switch state:\n");

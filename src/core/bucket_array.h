@@ -76,7 +76,12 @@ struct PaddedKey {
 
   uint64_t words[kWords];
 
-  explicit PaddedKey(const Key& k) { k.ToWords(words); }
+  // From the key's Key::kSize bytes; only the tail word has pad bytes.
+  explicit PaddedKey(const uint8_t* key) {
+    words[kWords - 1] = 0;
+    std::memcpy(words, key, Key::kSize);
+  }
+  explicit PaddedKey(const Key& k) : PaddedKey(k.data()) {}
 };
 
 template <typename Key>
@@ -116,11 +121,6 @@ class BucketArray {
   const uint8_t* KeyBytes(size_t i) const {
     return reinterpret_cast<const uint8_t*>(KeyWords(i));
   }
-  Key KeyAt(size_t i) const {
-    Key k{};
-    std::memcpy(k.data(), KeyBytes(i), Key::kSize);
-    return k;
-  }
 
   void SetKey(size_t i, const Key& k) { SetKeyBytes(i, k.data()); }
   void SetKeyWords(size_t i, const uint64_t* words) {
@@ -148,13 +148,7 @@ class BucketArray {
 
   // ---- Key probes --------------------------------------------------------
 
-  static Probe MakeProbe(const Key& key) {
-    if constexpr (kShortKey) {
-      return Probe(key.data());
-    } else {
-      return Probe(key);
-    }
-  }
+  static Probe MakeProbe(const Key& key) { return Probe(key.data()); }
 
   // Slot i holds the probe key (occupancy not consulted).
   bool KeyMatches(size_t i, const Probe& p) const {

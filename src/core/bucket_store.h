@@ -60,7 +60,7 @@ class BucketStore {
 
   void Update(const Key& key, uint32_t weight) {
     size_t idx[kMaxD] = {};
-    Indices(key, idx);
+    Indices(key.data(), idx);
     self().UpdateAt(idx, key, weight);
   }
 
@@ -263,10 +263,11 @@ class BucketStore {
     COCO_CHECK(l_ >= 1, "memory too small for one bucket per array");
   }
 
-  // The key's d absolute bucket indices.
-  void Indices(const Key& key, size_t* idx) const {
+  // The d absolute bucket indices of the key whose Key::kSize bytes start
+  // at `key`.
+  void Indices(const uint8_t* key, size_t* idx) const {
     uint32_t slot[kMaxD];
-    hash_.Slots(key.data(), key.size(), slot);
+    hash_.Slots(key, Key::kSize, slot);
     for (size_t i = 0; i < d_; ++i) idx[i] = i * l_ + slot[i];
   }
 

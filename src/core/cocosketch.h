@@ -19,10 +19,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/rng.h"
 #include "core/bucket_store.h"
+#include "query/flow_table.h"
 
 namespace coco::core {
 
@@ -44,30 +44,30 @@ class CocoSketch : public BucketStore<CocoSketch<Key>, Key> {
   // writes only happen when no bucket matched.)
   uint64_t Query(const Key& key) const {
     size_t idx[Base::kMaxD];
-    Indices(key, idx);
+    Indices(key.data(), idx);
     const int match =
         buckets_.FindMatch(idx, d_, BucketArray<Key>::MakeProbe(key));
     return match < 0 ? 0 : buckets_.Value(idx[match]);
   }
 
   // Step 3 of the workflow (Fig. 1): the (FullKey, Size) table of all
-  // recorded flows, input to the partial-key query front-end.
-  std::unordered_map<Key, uint64_t> Decode() const {
-    std::unordered_map<Key, uint64_t> out;
+  // recorded flows, input to the partial-key query front-end. Rows come in
+  // bucket order.
+  query::FlowTable<Key> Decode() const {
+    query::FlowTable<Key> out;
     DecodeInto(&out);
     return out;
   }
 
   // Adds every occupied bucket to *table, summing keys already there: the
   // union of several sketches' decodes is one table (ovs::RunScaleout
-  // collects its shards this way).
-  void DecodeInto(std::unordered_map<Key, uint64_t>* table) const {
+  // collects its shards this way). Keys are read in place from the key
+  // plane (query::FlowTable::AddKeyBytes).
+  void DecodeInto(query::FlowTable<Key>* table) const {
     table->reserve(table->size() + buckets_.size());
     const uint32_t* values = buckets_.values();
     for (size_t i = 0; i < buckets_.size(); ++i) {
-      if (values[i] == 0) continue;
-      auto [it, inserted] = table->emplace(buckets_.KeyAt(i), values[i]);
-      if (!inserted) it->second += values[i];
+      if (values[i] != 0) table->AddKeyBytes(buckets_.KeyBytes(i), values[i]);
     }
   }
 

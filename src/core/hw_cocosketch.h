@@ -27,13 +27,13 @@
 // key write can affect another array's compare.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/bucket_store.h"
 #include "hw/approx_divider.h"
+#include "query/flow_table.h"
 
 namespace coco::core {
 
@@ -41,6 +41,25 @@ enum class DivisionMode {
   kExact,        // FPGA variant
   kApproximate,  // P4 / Tofino variant
 };
+
+// Median of v[0, n), the mean of the middle two for even n; sorts v. An
+// insertion sort: n is at most d.
+inline uint64_t Median(uint64_t* v, size_t n) {
+  for (size_t i = 1; i < n; ++i) {
+    for (size_t j = i; j > 0 && v[j] < v[j - 1]; --j) std::swap(v[j], v[j - 1]);
+  }
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+// §4.3's estimate from the per-array estimates est[0, d): the median of the
+// arrays recording the flow (non-zero entries), 0 if none. Reorders est.
+inline uint64_t MedianOfRecorded(uint64_t* est, size_t d) {
+  size_t recorded = 0;
+  for (size_t i = 0; i < d; ++i) {
+    if (est[i] != 0) est[recorded++] = est[i];
+  }
+  return recorded == 0 ? 0 : Median(est, recorded);
+}
 
 template <typename Key>
 class HwCocoSketch : public BucketStore<HwCocoSketch<Key>, Key> {
@@ -58,7 +77,7 @@ class HwCocoSketch : public BucketStore<HwCocoSketch<Key>, Key> {
   // (the estimator of Lemma 4).
   uint64_t EstimateInArray(size_t array, const Key& key) const {
     uint64_t est[Base::kMaxD];
-    ArrayEstimates(key, est);
+    ArrayEstimates(key.data(), est);
     return est[array];
   }
 
@@ -70,12 +89,8 @@ class HwCocoSketch : public BucketStore<HwCocoSketch<Key>, Key> {
   // available per array via EstimateInArray.
   uint64_t Query(const Key& key) const {
     uint64_t est[Base::kMaxD];
-    ArrayEstimates(key, est);
-    size_t recorded = 0;
-    for (size_t i = 0; i < d_; ++i) {
-      if (est[i] != 0) est[recorded++] = est[i];
-    }
-    return recorded == 0 ? 0 : Median(est, recorded);
+    ArrayEstimates(key.data(), est);
+    return MedianOfRecorded(est, d_);
   }
 
   // The strict Lemma-4 median: absent arrays contribute 0. Unbiased per
@@ -84,24 +99,28 @@ class HwCocoSketch : public BucketStore<HwCocoSketch<Key>, Key> {
   // is why the reporting path above conditions on recorded arrays instead.
   uint64_t UnbiasedQuery(const Key& key) const {
     uint64_t est[Base::kMaxD];
-    ArrayEstimates(key, est);
+    ArrayEstimates(key.data(), est);
     return Median(est, d_);
   }
 
   // Full-key flow table: every key recorded anywhere, scored by Query().
-  std::unordered_map<Key, uint64_t> Decode() const {
-    std::unordered_map<Key, uint64_t> out;
+  // A key is scored where it is first seen, in the first array that records
+  // it, and inserted only with a non-zero estimate (a key that owns none
+  // of its mapped buckets is indistinguishable from an unrecorded flow).
+  // Keys are read in place from the key plane; rows come in bucket order.
+  query::FlowTable<Key> Decode() const {
+    query::FlowTable<Key> out;
     out.reserve(buckets_.size());
-    for (size_t i = 0; i < buckets_.size(); ++i) {
-      if (buckets_.Value(i) != 0) {
-        out.emplace(buckets_.KeyAt(i), 0);  // dedupe first, score below
+    for (size_t array = 0; array < d_; ++array) {
+      for (size_t i = array * l_; i < (array + 1) * l_; ++i) {
+        if (buckets_.Value(i) == 0) continue;
+        const uint8_t* key = buckets_.KeyBytes(i);
+        uint64_t est[Base::kMaxD];
+        ArrayEstimates(key, est);
+        size_t first = 0;
+        while (first < d_ && est[first] == 0) ++first;
+        if (first == array) out.AddKeyBytes(key, MedianOfRecorded(est, d_));
       }
-    }
-    for (auto& [key, est] : out) est = Query(key);
-    // Median-of-zeros can score a recorded key at 0; drop those — they are
-    // indistinguishable from unrecorded flows.
-    for (auto it = out.begin(); it != out.end();) {
-      it = it->second == 0 ? out.erase(it) : std::next(it);
     }
     return out;
   }
@@ -115,23 +134,20 @@ class HwCocoSketch : public BucketStore<HwCocoSketch<Key>, Key> {
   using Base::d_;
   using Base::Indices;
   using Base::key_replacements_;
+  using Base::l_;
   using Base::pass1_misses_;
   using Base::rng_;
   using Base::updates_;
 
-  void ArrayEstimates(const Key& key, uint64_t* est) const {
+  // Per-array estimates of the key whose bytes start at `key`.
+  void ArrayEstimates(const uint8_t* key, uint64_t* est) const {
     size_t idx[Base::kMaxD];
     Indices(key, idx);
-    const auto probe = BucketArray<Key>::MakeProbe(key);
+    const typename BucketArray<Key>::Probe probe(key);
     for (size_t i = 0; i < d_; ++i) {
       const uint32_t v = buckets_.Value(idx[i]);
       est[i] = v != 0 && buckets_.KeyMatches(idx[i], probe) ? v : 0;
     }
-  }
-
-  static uint64_t Median(uint64_t* v, size_t n) {
-    std::sort(v, v + n);
-    return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
   }
 
   // The §4.2 per-array rule on the key's absolute bucket indices: the d key

@@ -104,7 +104,7 @@ class SampledCocoSketch {
 
   uint64_t Query(const Key& key) const { return sketch_.Query(key); }
 
-  std::unordered_map<Key, uint64_t> Decode() const { return sketch_.Decode(); }
+  query::FlowTable<Key> Decode() const { return sketch_.Decode(); }
 
   void Clear() {
     sketch_.Clear();

@@ -86,6 +86,16 @@ struct PackedKey {
   uint64_t lo = 0;
 
   friend auto operator<=>(const PackedKey&, const PackedKey&) = default;
+
+  // Keyed index hash (query::FlowTable): both words XORed with secrets
+  // derived from `seed`, one 64x64->128 multiply, the halves folded.
+  uint64_t Hash(uint64_t seed) const {
+    const unsigned __int128 product =
+        static_cast<unsigned __int128>(hi ^ seed) *
+        (lo ^ (seed * 0x9e3779b97f4a7c15ULL));
+    return static_cast<uint64_t>(product >> 64) ^
+           static_cast<uint64_t>(product);
+  }
 };
 
 // A partial key of the 5-tuple full key.

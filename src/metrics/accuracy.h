@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace coco::metrics {
@@ -27,9 +26,10 @@ struct Accuracy {
 // Generic scorer: `estimates` maps every reported key to its estimated size,
 // `truth` maps every real key to its exact size; a key is "correct" when its
 // true size >= threshold and "reported" when its estimate >= threshold.
-template <typename Key>
-Accuracy ScoreThreshold(const std::unordered_map<Key, uint64_t>& estimates,
-                        const std::unordered_map<Key, uint64_t>& truth,
+// Either side is any key -> size map with find() (a query::FlowTable, an
+// exact counter's std::unordered_map), each typed on its own.
+template <typename Estimates, typename Truth>
+Accuracy ScoreThreshold(const Estimates& estimates, const Truth& truth,
                         uint64_t threshold) {
   Accuracy acc;
   size_t correct_reported = 0;
@@ -71,8 +71,8 @@ Accuracy ScoreThreshold(const std::unordered_map<Key, uint64_t>& estimates,
 // exact run conserves offered mass exactly, and after a crash recovery the
 // merged table's mass must sit within the reported bounded-loss estimate of
 // the fault-free run's.
-template <typename Key>
-uint64_t TotalMass(const std::unordered_map<Key, uint64_t>& table) {
+template <typename Table>
+uint64_t TotalMass(const Table& table) {
   uint64_t total = 0;
   for (const auto& [key, size] : table) total += size;
   return total;
@@ -84,10 +84,9 @@ Accuracy MeanAccuracy(const std::vector<Accuracy>& parts);
 
 // Absolute-error distribution support for the CDF plots of Fig. 17: returns
 // the sorted |est - true| values over all ground-truth flows.
-template <typename Key>
-std::vector<uint64_t> AbsoluteErrors(
-    const std::unordered_map<Key, uint64_t>& estimates,
-    const std::unordered_map<Key, uint64_t>& truth) {
+template <typename Estimates, typename Truth>
+std::vector<uint64_t> AbsoluteErrors(const Estimates& estimates,
+                                     const Truth& truth) {
   std::vector<uint64_t> errors;
   errors.reserve(truth.size());
   for (const auto& [key, true_size] : truth) {

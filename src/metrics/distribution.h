@@ -6,16 +6,15 @@
 
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace coco::metrics {
 
 // Log2-bucketed flow size histogram: fraction of flows whose size lands in
 // [2^i, 2^{i+1}). Buckets beyond `buckets-1` are clamped into the last one.
-template <typename Key>
-std::vector<double> FlowSizeHistogram(
-    const std::unordered_map<Key, uint64_t>& table, size_t buckets = 24) {
+template <typename Table>
+std::vector<double> FlowSizeHistogram(const Table& table,
+                                      size_t buckets = 24) {
   std::vector<double> hist(buckets, 0.0);
   if (table.empty()) return hist;
   for (const auto& [key, size] : table) {
@@ -49,8 +48,8 @@ inline double HistogramDistance(const std::vector<double>& a,
 
 // Shannon entropy (bits) of the traffic's flow-size distribution:
 // -sum_i (f_i/N) log2 (f_i/N), where N is total mass.
-template <typename Key>
-double EmpiricalEntropy(const std::unordered_map<Key, uint64_t>& table) {
+template <typename Table>
+double EmpiricalEntropy(const Table& table) {
   double total = 0.0;
   for (const auto& [key, size] : table) total += static_cast<double>(size);
   if (total <= 0.0) return 0.0;

@@ -171,7 +171,7 @@ struct Shard {
 // capacity and no seed has to match.
 EpochRecord CollectEpoch(uint64_t epoch, uint64_t applied_weight,
                          const std::vector<const Sketch*>& sources,
-                         std::unordered_map<FiveTuple, uint64_t>* table) {
+                         query::FlowTable<FiveTuple>* table) {
   EpochRecord rec;
   rec.epoch = epoch;
   rec.applied_weight = applied_weight;
@@ -647,7 +647,7 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   std::vector<StallDetector> detectors(
       S, StallDetector(config.watchdog_timeout_ms));
   std::vector<EpochRecord> epochs;
-  std::unordered_map<FiveTuple, uint64_t> merged_table;
+  query::FlowTable<FiveTuple> merged_table;
   uint64_t requested = 0;  // last epoch requested
   bool epoch_pending = false;
   for (;;) {

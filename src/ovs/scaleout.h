@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/attack_monitor.h"
@@ -47,6 +46,7 @@
 #include "ovs/fault.h"
 #include "ovs/spsc_ring.h"
 #include "packet/keys.h"
+#include "query/flow_table.h"
 
 namespace coco::ovs {
 
@@ -224,7 +224,7 @@ struct ScaleoutResult {
 
   // Union of every epoch's shard decodes, accumulated — the
   // control-plane flow table over the whole run (empty without a sketch).
-  std::unordered_map<FiveTuple, uint64_t> merged_table;
+  query::FlowTable<FiveTuple> merged_table;
 };
 
 // Runs the trace through the datapath. The producers are the NIC's RSS

@@ -1,5 +1,6 @@
 #include "p4/coco_program.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.h"
@@ -142,64 +143,52 @@ void P4CocoSketch::Update(const FiveTuple& key, uint32_t weight) {
   interpreter_.Execute(phv_);
 }
 
-uint32_t P4CocoSketch::IndexOf(size_t array, const FiveTuple& key) const {
-  uint32_t words[kKeyWords] = {};
-  std::memcpy(words, key.data(), FiveTuple::kSize);
-  // Must mirror the interpreter's kHash semantics exactly.
-  return hash::BobHash32(
-      words, kKeyWords * sizeof(uint32_t),
-      static_cast<uint32_t>(array * 0x9e3779b9u + 0x5eed));
-}
-
-uint64_t P4CocoSketch::EstimateInArray(size_t array, const FiveTuple& key,
-                                       uint32_t idx) const {
-  const size_t bucket = idx % l_;
-  const uint32_t value =
-      interpreter_.ValueArray(static_cast<uint16_t>(array))[bucket];
-  if (value == 0) return 0;
-  uint32_t words[kKeyWords] = {};
-  std::memcpy(words, key.data(), FiveTuple::kSize);
-  for (uint16_t w = 0; w < kKeyWords; ++w) {
-    if (interpreter_.KeyWord(static_cast<uint16_t>(d_ + array), bucket, w) !=
-        words[w]) {
-      return 0;
-    }
+void P4CocoSketch::ArrayEstimates(const uint32_t* words, uint64_t* est) const {
+  for (size_t i = 0; i < d_; ++i) {
+    // Must mirror the interpreter's kHash semantics exactly.
+    const size_t bucket =
+        hash::BobHash32(words, kKeyWords * sizeof(uint32_t),
+                        static_cast<uint32_t>(i * 0x9e3779b9u + 0x5eed)) %
+        l_;
+    const uint32_t value =
+        interpreter_.ValueArray(static_cast<uint16_t>(i))[bucket];
+    const uint32_t* stored =
+        interpreter_.KeyWords(static_cast<uint16_t>(d_ + i), bucket);
+    est[i] = value != 0 && std::equal(words, words + kKeyWords, stored)
+                 ? value
+                 : 0;
   }
-  return value;
 }
 
 uint64_t P4CocoSketch::Query(const FiveTuple& key) const {
+  uint32_t words[kKeyWords] = {};
+  std::memcpy(words, key.data(), FiveTuple::kSize);
   uint64_t est[4];
-  size_t recorded = 0;
-  for (size_t i = 0; i < d_; ++i) {
-    const uint64_t e = EstimateInArray(i, key, IndexOf(i, key));
-    if (e != 0) est[recorded++] = e;
-  }
-  if (recorded == 0) return 0;
-  std::sort(est, est + recorded);
-  return recorded % 2 == 1 ? est[recorded / 2]
-                           : (est[recorded / 2 - 1] + est[recorded / 2]) / 2;
+  ArrayEstimates(words, est);
+  return core::MedianOfRecorded(est, d_);
 }
 
-std::unordered_map<FiveTuple, uint64_t> P4CocoSketch::Decode() const {
-  std::unordered_map<FiveTuple, uint64_t> out;
+// As HwCocoSketch::Decode: each key is scored in the first array that
+// records it and inserted only with a non-zero estimate. The key bytes are
+// read in place from the key array's zero-padded words.
+query::FlowTable<FiveTuple> P4CocoSketch::Decode() const {
+  query::FlowTable<FiveTuple> out;
   out.reserve(d_ * l_);
-  for (size_t i = 0; i < d_; ++i) {
-    const auto& values = interpreter_.ValueArray(static_cast<uint16_t>(i));
+  for (size_t array = 0; array < d_; ++array) {
+    const auto& values = interpreter_.ValueArray(static_cast<uint16_t>(array));
     for (size_t b = 0; b < l_; ++b) {
       if (values[b] == 0) continue;
-      uint32_t words[kKeyWords];
-      for (uint16_t w = 0; w < kKeyWords; ++w) {
-        words[w] = interpreter_.KeyWord(static_cast<uint16_t>(d_ + i), b, w);
+      const uint32_t* words =
+          interpreter_.KeyWords(static_cast<uint16_t>(d_ + array), b);
+      uint64_t est[4];
+      ArrayEstimates(words, est);
+      size_t first = 0;
+      while (first < d_ && est[first] == 0) ++first;
+      if (first == array) {
+        out.AddKeyBytes(reinterpret_cast<const uint8_t*>(words),
+                        core::MedianOfRecorded(est, d_));
       }
-      FiveTuple key;
-      std::memcpy(key.data(), words, FiveTuple::kSize);
-      out.emplace(key, 0);
     }
-  }
-  for (auto it = out.begin(); it != out.end();) {
-    it->second = Query(it->first);
-    it = it->second == 0 ? out.erase(it) : std::next(it);
   }
   return out;
 }

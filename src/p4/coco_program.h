@@ -17,11 +17,10 @@
 // buys, and p4::Validate checks it mechanically.
 #pragma once
 
-#include <unordered_map>
-
 #include "core/hw_cocosketch.h"
 #include "p4/program.h"
 #include "packet/keys.h"
+#include "query/flow_table.h"
 
 namespace coco::p4 {
 
@@ -45,7 +44,7 @@ class P4CocoSketch {
   // Median-over-recorded-arrays estimate, as in HwCocoSketch.
   uint64_t Query(const FiveTuple& key) const;
 
-  std::unordered_map<FiveTuple, uint64_t> Decode() const;
+  query::FlowTable<FiveTuple> Decode() const;
 
   void Clear();
 
@@ -59,9 +58,8 @@ class P4CocoSketch {
   }
 
  private:
-  uint64_t EstimateInArray(size_t array, const FiveTuple& key,
-                           uint32_t idx) const;
-  uint32_t IndexOf(size_t array, const FiveTuple& key) const;
+  // Per-array estimates of the key whose zero-padded words are `words`.
+  void ArrayEstimates(const uint32_t* words, uint64_t* est) const;
 
   size_t d_;
   size_t l_;

@@ -240,14 +240,12 @@ const std::vector<uint32_t>& Interpreter::ValueArray(uint16_t array) const {
   return state_[array].cells;
 }
 
-uint32_t Interpreter::KeyWord(uint16_t array, size_t bucket,
-                              uint16_t word) const {
+const uint32_t* Interpreter::KeyWords(uint16_t array, size_t bucket) const {
   COCO_CHECK(array < state_.size(), "array out of range");
   const ArrayState& st = state_[array];
   COCO_CHECK(st.decl.key_words > 0, "not a key array");
-  COCO_CHECK(bucket < st.decl.length && word < st.decl.key_words,
-             "key word out of range");
-  return st.cells[bucket * st.decl.key_words + word];
+  COCO_CHECK(bucket < st.decl.length, "key bucket out of range");
+  return st.cells.data() + bucket * st.decl.key_words;
 }
 
 }  // namespace coco::p4

@@ -108,8 +108,8 @@ class Interpreter {
 
   // Direct state access for decoding and tests.
   const std::vector<uint32_t>& ValueArray(uint16_t array) const;
-  // Key word w of bucket i of a key array.
-  uint32_t KeyWord(uint16_t array, size_t bucket, uint16_t word) const;
+  // The key words of bucket i of a key array.
+  const uint32_t* KeyWords(uint16_t array, size_t bucket) const;
 
   const Program& program() const { return program_; }
 

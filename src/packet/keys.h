@@ -37,35 +37,34 @@ struct FixedKey {
   uint8_t* data() { return bytes.data(); }
   static constexpr size_t size() { return N; }
 
-  // Writes the key as kWords little-endian-loaded words, tail zero-padded —
-  // the exact slot representation the bucket arrays store.
-  void ToWords(uint64_t* out) const {
-    if constexpr (N > 0) {
-      out[kWords - 1] = 0;  // only the tail word has pad bytes
-      std::memcpy(out, bytes.data(), N);
-    }
-  }
-
-  // Word-wise equality: the bucket-probe hot loop compares a packet key
-  // against d candidate bucket keys per packet, so this compiles to 1-2
-  // unaligned 64-bit loads per side for N <= 16 (overlapping loads for
-  // 8 < N < 16) instead of std::array's byte-wise compare.
-  friend bool operator==(const FixedKey& a, const FixedKey& b) {
+  // Word-wise equality of two N-byte keys: compiles to 1-2 unaligned 64-bit
+  // loads per side for N <= 16 (overlapping loads for 8 < N < 16) instead
+  // of a byte-wise compare. Either side may be a key in place, e.g. a
+  // bucket's key words (query::FlowTable::AddKeyBytes).
+  static bool BytesEqual(const uint8_t* a, const uint8_t* b) {
     if constexpr (N == 0) {
       return true;
     } else if constexpr (N <= 8) {
-      return LoadNative(a.bytes.data(), N) == LoadNative(b.bytes.data(), N);
+      return LoadNative(a, N) == LoadNative(b, N);
     } else if constexpr (N <= 16) {
-      return LoadNative64(a.bytes.data()) == LoadNative64(b.bytes.data()) &&
-             LoadNative64(a.bytes.data() + N - 8) ==
-                 LoadNative64(b.bytes.data() + N - 8);
+      return LoadNative64(a) == LoadNative64(b) &&
+             LoadNative64(a + N - 8) == LoadNative64(b + N - 8);
     } else {
-      return a.bytes == b.bytes;
+      return std::memcmp(a, b, N) == 0;
     }
   }
 
+  friend bool operator==(const FixedKey& a, const FixedKey& b) {
+    return BytesEqual(a.bytes.data(), b.bytes.data());
+  }
+
+  // Hash() of the N-byte key at `key`.
+  static uint64_t HashBytes(const uint8_t* key, uint64_t seed) {
+    return hash::Hash64(key, N, seed);
+  }
+
   uint64_t Hash(uint64_t seed = 0) const {
-    return hash::Hash64(bytes.data(), N, seed);
+    return HashBytes(bytes.data(), seed);
   }
 
   std::string ToHex() const { return HexDump(bytes.data(), N); }

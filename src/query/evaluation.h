@@ -14,12 +14,13 @@
 
 namespace coco::query {
 
-// Scores a decoded full-key table on heavy hitters for each partial key in
-// `specs`. The threshold is `fraction` of the total traffic (the paper uses
-// 1e-4). Returns one Accuracy per spec, in order.
-template <typename Key, typename Spec>
+// Scores a decoded full-key table (a FlowTable, or a baseline's map) on
+// heavy hitters for each partial key in `specs`. The threshold is
+// `fraction` of the total traffic (the paper uses 1e-4). Returns one
+// Accuracy per spec, in order.
+template <typename Table, typename Key, typename Spec>
 std::vector<metrics::Accuracy> ScoreHeavyHittersPerKey(
-    const FlowTable<Key>& decoded, const trace::ExactCounter<Key>& truth,
+    const Table& decoded, const trace::ExactCounter<Key>& truth,
     const std::vector<Spec>& specs, double fraction) {
   const uint64_t threshold =
       static_cast<uint64_t>(fraction * static_cast<double>(truth.Total()));
@@ -36,9 +37,9 @@ std::vector<metrics::Accuracy> ScoreHeavyHittersPerKey(
 
 // Heavy-change scoring across two windows, per partial key. A flow is a
 // heavy change when its size differs by >= fraction * total(before+after)/2.
-template <typename Key, typename Spec>
+template <typename Table, typename Key, typename Spec>
 std::vector<metrics::Accuracy> ScoreHeavyChangesPerKey(
-    const FlowTable<Key>& decoded_before, const FlowTable<Key>& decoded_after,
+    const Table& decoded_before, const Table& decoded_after,
     const trace::ExactCounter<Key>& truth_before,
     const trace::ExactCounter<Key>& truth_after,
     const std::vector<Spec>& specs, double fraction) {

@@ -5,26 +5,174 @@
 //     SELECT g(k_F), SUM(Size) FROM table GROUP BY g(k_F)
 // implemented here as Aggregate(). Heavy changes are the aggregated absolute
 // difference of two windows' tables.
+//
+// FlowTable<Key> is that table, flat: the rows are (Key, Size) pairs in one
+// dense vector, in first-insertion order, so iteration order is decode
+// (bucket) order and the same on every run. Beside them sits an
+// open-addressing index of uint32 row numbers (linear probing, 0 = empty)
+// at load <= 1/2. Its hash is Key::Hash keyed with a per-process secret:
+// decoded flows are attacker-influenced, and a fixed hash would let crafted
+// keys build one long probe chain. A decoder fills rows straight from a
+// sketch's key plane (AddKeyBytes): the key bytes are hashed, compared and
+// copied in place. Lifting each key into a Key value first moves it through
+// overlapping stack stores and reloads, and every reload stalls store
+// forwarding: appending the 30.7k rows of a 512 KiB sketch took 2.5-3x as
+// long that way (4-vCPU KVM Xeon).
+//
+// The interface is the part of std::unordered_map the program uses. Rows
+// are read-only through iteration and find(); operator[], emplace and
+// AddKeyBytes write them. Any insert may invalidate iterators and
+// references.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
+#include "common/rng.h"
 #include "packet/keys.h"
 
 namespace coco::query {
 
 template <typename Key>
-using FlowTable = std::unordered_map<Key, uint64_t>;
+class FlowTable {
+ public:
+  using key_type = Key;
+  using value_type = std::pair<Key, uint64_t>;
+  using const_iterator = typename std::vector<value_type>::const_iterator;
+
+  FlowTable() = default;
+
+  template <typename It>
+  FlowTable(It first, It last) {
+    for (; first != last; ++first) emplace(first->first, first->second);
+  }
+
+  size_t size() const { return rows_.size(); }
+  bool empty() const { return rows_.empty(); }
+  const_iterator begin() const { return rows_.begin(); }
+  const_iterator end() const { return rows_.end(); }
+
+  void clear() {
+    rows_.clear();
+    std::fill(slots_.begin(), slots_.end(), uint32_t{0});
+  }
+
+  // Room for n rows without growing either array. Both grow at least
+  // geometrically, so a run of DecodeInto calls (one reserve per sketch)
+  // copies each row O(1) times.
+  void reserve(size_t n) {
+    if (n > rows_.capacity()) rows_.reserve(std::max(n, 2 * rows_.capacity()));
+    if (2 * n > slots_.size()) Rehash(n);
+  }
+
+  const_iterator find(const Key& key) const {
+    if (rows_.empty()) return end();
+    const uint32_t row = slots_[Locate(key)];
+    return row == 0 ? end() : begin() + (row - 1);
+  }
+
+  size_t count(const Key& key) const { return find(key) == end() ? 0 : 1; }
+
+  const uint64_t& at(const Key& key) const {
+    const auto it = find(key);
+    COCO_CHECK(it != end(), "key not in flow table");
+    return it->second;
+  }
+
+  uint64_t& operator[](const Key& key) {
+    return rows_[Insert(key, 0).first].second;
+  }
+
+  // Inserts (key, value) unless the key is present; the bool says which.
+  std::pair<const_iterator, bool> emplace(const Key& key, uint64_t value) {
+    const auto [row, inserted] = Insert(key, value);
+    return {begin() + row, inserted};
+  }
+
+  // Adds `value` to the row of the key whose Key::kSize bytes start at
+  // `key`, copying those bytes into a new row if there is none. The bytes
+  // are read in place (a sketch bucket's key words); needs the fixed-key
+  // byte helpers (FixedKey::HashBytes / BytesEqual).
+  void AddKeyBytes(const uint8_t* key, uint64_t value) {
+    if (2 * (rows_.size() + 1) > slots_.size()) Rehash(rows_.size() + 1);
+    const size_t mask = slots_.size() - 1;
+    size_t i = Key::HashBytes(key, seed_) & mask;
+    for (; slots_[i] != 0; i = (i + 1) & mask) {
+      value_type& row = rows_[slots_[i] - 1];
+      if (Key::BytesEqual(row.first.data(), key)) {
+        row.second += value;
+        return;
+      }
+    }
+    value_type& row = rows_.emplace_back();
+    std::memcpy(row.first.data(), key, Key::kSize);
+    row.second = value;
+    slots_[i] = static_cast<uint32_t>(rows_.size());
+  }
+
+  // Same rows with the same values, in any order.
+  friend bool operator==(const FlowTable& a, const FlowTable& b) {
+    if (a.size() != b.size()) return false;
+    for (const auto& [key, value] : a) {
+      const auto it = b.find(key);
+      if (it == b.end() || it->second != value) return false;
+    }
+    return true;
+  }
+
+ private:
+  // The slot holding key's row number, or the empty slot that ends its
+  // probe sequence. Precondition: slots_ is non-empty.
+  size_t Locate(const Key& key) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = key.Hash(seed_) & mask;
+    while (slots_[i] != 0 && !(rows_[slots_[i] - 1].first == key)) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  // Row number of key, inserting (key, value) if absent; true if inserted.
+  std::pair<size_t, bool> Insert(const Key& key, uint64_t value) {
+    if (2 * (rows_.size() + 1) > slots_.size()) Rehash(rows_.size() + 1);
+    const size_t i = Locate(key);
+    if (slots_[i] != 0) return {slots_[i] - 1, false};
+    rows_.emplace_back(key, value);
+    slots_[i] = static_cast<uint32_t>(rows_.size());
+    return {rows_.size() - 1, true};
+  }
+
+  // Rebuilds the index for at least n rows at load <= 1/2. Row numbers
+  // plus the empty marker must fit in uint32.
+  void Rehash(size_t n) {
+    COCO_CHECK(n < UINT32_MAX, "flow table too large");
+    size_t slots = 16;
+    while (slots < 2 * n) slots *= 2;
+    slots_.assign(slots, 0);
+    for (size_t r = 0; r < rows_.size(); ++r) {
+      slots_[Locate(rows_[r].first)] = static_cast<uint32_t>(r + 1);
+    }
+  }
+
+  uint64_t seed_ = [] {
+    uint64_t state = ProcessSeed();
+    return SplitMix64(state);
+  }();
+  std::vector<value_type> rows_;
+  std::vector<uint32_t> slots_;  // row number + 1; 0 = empty
+};
 
 // GROUP BY g(k_F) SUM(Size): `Spec` is any mapping exposing
 // Apply(Key) -> partial key (keys::TupleKeySpec, keys::PrefixSpec,
-// keys::V6KeySpec, ...); the output key type follows the spec.
-template <typename Key, typename Spec>
-auto Aggregate(const FlowTable<Key>& table, const Spec& spec) {
+// keys::V6KeySpec, ...); the output key type follows the spec. `table` is
+// a FlowTable or any other key -> size map (a baseline's decode).
+template <typename Table, typename Spec>
+auto Aggregate(const Table& table, const Spec& spec) {
+  using Key = typename Table::key_type;
   using OutKey = decltype(spec.Apply(std::declval<const Key&>()));
   FlowTable<OutKey> out;
   out.reserve(table.size());
@@ -52,7 +200,7 @@ FlowTable<Key> AbsDiff(const FlowTable<Key>& a, const FlowTable<Key>& b) {
 
 // Deterministic total order on keys: length, then bytes, then (for DynKeys)
 // the significant bit count. Used to break size ties so sorted output does
-// not depend on hash-map iteration order.
+// not depend on row order.
 template <typename Key>
 bool KeyOrderLess(const Key& a, const Key& b) {
   if (a.size() != b.size()) return a.size() < b.size();
@@ -79,11 +227,12 @@ std::vector<std::pair<Key, uint64_t>> TopRows(const FlowTable<Key>& table,
   return rows;
 }
 
-// Keys at or above a threshold — the reported set for HH / HC tasks.
-template <typename Key>
-FlowTable<Key> FilterThreshold(const FlowTable<Key>& table,
-                               uint64_t threshold) {
-  FlowTable<Key> out;
+// Keys at or above a threshold — the reported set for HH / HC tasks. Takes
+// a FlowTable or any other key -> size map (exact ground truth).
+template <typename Table>
+FlowTable<typename Table::key_type> FilterThreshold(const Table& table,
+                                                    uint64_t threshold) {
+  FlowTable<typename Table::key_type> out;
   for (const auto& [key, size] : table) {
     if (size >= threshold) out.emplace(key, size);
   }

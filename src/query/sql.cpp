@@ -4,8 +4,6 @@
 #include <cctype>
 
 #include "common/bytes.h"
-#include "common/check.h"
-#include "common/rng.h"
 
 namespace coco::query::sql {
 namespace {
@@ -304,52 +302,12 @@ class Parser {
 
 // ---- GROUP BY --------------------------------------------------------------
 
-struct Group {
-  keys::PackedKey key;
-  uint64_t size = 0;
+// A TupleKeySpec whose g(.) is Pack: grouping by the 128-bit packed key
+// builds no DynKey per row.
+struct PackedSpec {
+  const keys::TupleKeySpec& spec;
+  keys::PackedKey Apply(const FiveTuple& full) const { return spec.Pack(full); }
 };
-
-// SUM(Size) GROUP BY g(k_F) into dense groups, in order of first sight. The
-// index is open addressing with linear probing over group numbers (0 =
-// empty), sized for one group per input row at load <= 1/2, so it never
-// grows. Its hash is keyed with the process seed: decoded flows are
-// attacker-influenced, and a fixed hash would let crafted keys chain.
-std::vector<Group> GroupBy(const FlowTable<FiveTuple>& table,
-                           const keys::TupleKeySpec& spec) {
-  COCO_CHECK(table.size() < UINT32_MAX, "table too large to group");
-  size_t slots_size = 16;
-  while (slots_size < 2 * table.size()) slots_size *= 2;
-  std::vector<uint32_t> slots(slots_size, 0);
-  const size_t mask = slots_size - 1;
-  uint64_t seed_state = ProcessSeed();
-  const uint64_t seed_hi = SplitMix64(seed_state);
-  const uint64_t seed_lo = SplitMix64(seed_state);
-
-  std::vector<Group> groups;
-  groups.reserve(table.size());
-  for (const auto& [full, size] : table) {
-    const keys::PackedKey key = spec.Pack(full);
-    const unsigned __int128 product =
-        static_cast<unsigned __int128>(key.hi ^ seed_hi) * (key.lo ^ seed_lo);
-    size_t i = static_cast<size_t>(static_cast<uint64_t>(product >> 64) ^
-                                   static_cast<uint64_t>(product)) &
-               mask;
-    for (;; i = (i + 1) & mask) {
-      const uint32_t slot = slots[i];
-      if (slot == 0) {
-        groups.push_back({key, size});
-        slots[i] = static_cast<uint32_t>(groups.size());
-        break;
-      }
-      Group& group = groups[slot - 1];
-      if (group.key == key) {
-        group.size += size;
-        break;
-      }
-    }
-  }
-  return groups;
-}
 
 // ---- Row rendering ---------------------------------------------------------
 
@@ -412,20 +370,20 @@ std::optional<Statement> Parse(const std::string& text, std::string* error) {
 Result Execute(const Statement& statement,
                const FlowTable<FiveTuple>& table) {
   const keys::TupleKeySpec spec("sql", statement.fields);
-  std::vector<Group> groups = GroupBy(table, spec);
-  if (statement.having_at_least) {
-    std::erase_if(groups, [&](const Group& g) {
-      return g.size < *statement.having_at_least;
-    });
+  // Only the groups that pass HAVING are copied out for ORDER BY / LIMIT.
+  const uint64_t having = statement.having_at_least.value_or(0);
+  std::vector<std::pair<keys::PackedKey, uint64_t>> groups;
+  for (const auto& group : Aggregate(table, PackedSpec{spec})) {
+    if (group.second >= having) groups.push_back(group);
   }
   size_t keep = groups.size();
   if (statement.limit) keep = std::min(keep, *statement.limit);
   if (statement.order_by_size_desc) {
     // Ties broken by key so output is stable across runs: for keys of one
     // spec, PackedKey order is query::KeyOrderLess's order.
-    const auto by_size_desc = [](const Group& a, const Group& b) {
-      if (a.size != b.size) return a.size > b.size;
-      return a.key < b.key;
+    const auto by_size_desc = [](const auto& a, const auto& b) {
+      if (a.second != b.second) return a.second > b.second;
+      return a.first < b.first;
     };
     if (keep < groups.size()) {
       std::partial_sort(groups.begin(), groups.begin() + keep, groups.end(),
@@ -443,9 +401,9 @@ Result Execute(const Statement& statement,
   result.rows.reserve(keep);
   for (size_t i = 0; i < keep; ++i) {
     ResultRow row;
-    row.key = spec.Render(groups[i].key);
-    row.size = groups[i].size;
-    row.field_text = RenderFields(statement.fields, groups[i].key);
+    row.key = spec.Render(groups[i].first);
+    row.size = groups[i].second;
+    row.field_text = RenderFields(statement.fields, groups[i].first);
     result.rows.push_back(std::move(row));
   }
   return result;

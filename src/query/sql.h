@@ -18,13 +18,14 @@
 //
 // The executor compiles the field list to a keys::TupleKeySpec and groups
 // the decoded flow table by each row's packed partial key
-// (TupleKeySpec::Pack, one 128-bit value) in a flat open-addressing table:
-// no node or DynKey per group. HAVING then filters the dense groups, ORDER
-// BY SUM(Size) DESC partially sorts the survivors (only the first LIMIT k
-// need order; ties by key, which is query::KeyOrderLess's order), and only
-// the returned rows get a DynKey and their field text (dotted-decimal /
-// numeric). Without ORDER BY, rows come in order of first appearance in
-// the table's iteration.
+// (TupleKeySpec::Pack, one 128-bit value) into a flat
+// query::FlowTable<keys::PackedKey>: no node or DynKey per group. Only the
+// groups that pass HAVING are copied out; ORDER BY SUM(Size) DESC
+// partially sorts them (only the first LIMIT k need order; ties by key,
+// which is query::KeyOrderLess's order), and only the returned rows get a
+// DynKey and their field text (dotted-decimal / numeric). Without ORDER
+// BY, groups come in the order their first row appears in the decoded
+// table: decode (bucket) order, the same on every run and platform.
 #pragma once
 
 #include <cstdint>

@@ -94,11 +94,11 @@ TEST(Interpreter, KeyWriteAndCompare) {
   phv[4] = 1;  // bucket
   phv[5] = 0;  // condition false: no write
   interp.Execute(phv);
-  EXPECT_EQ(interp.KeyWord(0, 1, 0), 0u);
+  EXPECT_EQ(interp.KeyWords(0, 1)[0], 0u);
   phv[5] = 1;  // condition true
   interp.Execute(phv);
-  EXPECT_EQ(interp.KeyWord(0, 1, 0), 0xaaaau);
-  EXPECT_EQ(interp.KeyWord(0, 1, 1), 0xbbbbu);
+  EXPECT_EQ(interp.KeyWords(0, 1)[0], 0xaaaau);
+  EXPECT_EQ(interp.KeyWords(0, 1)[1], 0xbbbbu);
 }
 
 TEST(Interpreter, ResetStateZeroes) {
@@ -213,7 +213,7 @@ TEST(P4CocoSketch, StatisticallyEquivalentToHwCocoSketch) {
     hw.Update(p.key, p.weight);
   }
 
-  auto f1_of = [&](const std::unordered_map<FiveTuple, uint64_t>& decoded) {
+  auto f1_of = [&](const query::FlowTable<FiveTuple>& decoded) {
     size_t heavy = 0, found = 0, reported = 0;
     for (const auto& [key, est] : decoded) reported += est >= threshold;
     for (const auto& [key, count] : truth.HeavyHitters(threshold)) {
@@ -258,6 +258,22 @@ TEST(Dump, ExactDivisionUsesFullDivider) {
   const std::string text = Dump(BuildCocoProgram(2, 64, false));
   EXPECT_EQ(text.find("recip~"), std::string::npos);
   EXPECT_NE(text.find("recip "), std::string::npos);
+}
+
+TEST(P4CocoSketch, DecodeDropsZeroMedians) {
+  // Mirrors HwCocoSketch.DecodeDropsZeroMedians: the decode scores each
+  // recorded key once and keeps only non-zero estimates, each equal to the
+  // point query.
+  P4CocoSketch sketch(KiB(8), 2);
+  const auto trace =
+      trace::GenerateTrace(trace::TraceConfig::CaidaLike(30000));
+  for (const Packet& p : trace) sketch.Update(p.key, p.weight);
+  const auto decoded = sketch.Decode();
+  EXPECT_GT(decoded.size(), 0u);
+  for (const auto& [key, est] : decoded) {
+    EXPECT_GT(est, 0u);
+    EXPECT_EQ(est, sketch.Query(key));
+  }
 }
 
 TEST(P4CocoSketch, ClearResets) {

@@ -2,6 +2,11 @@
 // including the worked example of Fig. 7.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.h"
+#include "common/sizes.h"
+#include "core/cocosketch.h"
 #include "keys/key_spec.h"
 #include "query/evaluation.h"
 #include "query/flow_table.h"
@@ -11,6 +16,134 @@ namespace coco::query {
 namespace {
 
 using keys::TupleKeySpec;
+
+// ---- FlowTable contract ----------------------------------------------------
+
+TEST(FlowTable, SubscriptAccumulatesAndEmplaceKeepsOldValue) {
+  FlowTable<IPv4Key> table;
+  table[IPv4Key(1)] += 5;
+  table[IPv4Key(1)] += 7;
+  EXPECT_EQ(table.at(IPv4Key(1)), 12u);
+  const auto [present, inserted_present] = table.emplace(IPv4Key(1), 99);
+  EXPECT_FALSE(inserted_present);
+  EXPECT_EQ(present->second, 12u);
+  const auto [fresh, inserted_fresh] = table.emplace(IPv4Key(2), 3);
+  EXPECT_TRUE(inserted_fresh);
+  EXPECT_TRUE(fresh->first == IPv4Key(2));
+  EXPECT_EQ(fresh->second, 3u);
+  EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(FlowTable, FindAndCountOnAbsentKeys) {
+  FlowTable<IPv4Key> table;
+  EXPECT_TRUE(table.find(IPv4Key(1)) == table.end());
+  EXPECT_EQ(table.count(IPv4Key(1)), 0u);
+  table[IPv4Key(1)] = 4;
+  EXPECT_TRUE(table.find(IPv4Key(2)) == table.end());
+  EXPECT_EQ(table.count(IPv4Key(2)), 0u);
+  EXPECT_EQ(table.count(IPv4Key(1)), 1u);
+  EXPECT_EQ(table.find(IPv4Key(1))->second, 4u);
+  table.clear();
+  EXPECT_TRUE(table.empty());
+  EXPECT_EQ(table.count(IPv4Key(1)), 0u);
+}
+
+TEST(FlowTable, EveryKeyFoundAsTheIndexGrows) {
+  // Inserted with no reserve and after a small one, 100k keys make the
+  // index rebuild many times; each must keep its own value.
+  constexpr uint32_t kKeys = 100'000;
+  const auto key = [](uint32_t i) {
+    return FiveTuple(i * 2654435761u, ~i, static_cast<uint16_t>(i), 443, 6);
+  };
+  for (const size_t reserved : {size_t{0}, size_t{100}}) {
+    FlowTable<FiveTuple> table;
+    table.reserve(reserved);
+    for (uint32_t i = 0; i < kKeys; ++i) table[key(i)] = i + 1;
+    EXPECT_EQ(table.size(), kKeys);
+    for (uint32_t i = 0; i < kKeys; ++i) {
+      const auto it = table.find(key(i));
+      ASSERT_TRUE(it != table.end()) << i;
+      EXPECT_EQ(it->second, i + 1);
+    }
+  }
+}
+
+TEST(FlowTable, IteratesInFirstInsertionOrder) {
+  FlowTable<IPv4Key> table;
+  std::vector<uint32_t> order;
+  Rng rng(5);
+  for (int i = 0; i < 1000; ++i) {
+    const uint32_t addr = rng.Next32();
+    if (table.count(IPv4Key(addr)) == 0) order.push_back(addr);
+    table[IPv4Key(addr)] += 1;
+  }
+  table[IPv4Key(order.front())] += 1;  // a repeat keeps its place
+  std::vector<uint32_t> seen;
+  for (const auto& [key, size] : table) seen.push_back(key.addr());
+  EXPECT_EQ(seen, order);
+}
+
+TEST(FlowTable, EqualityIgnoresOrderButNotKeysOrValues) {
+  FlowTable<IPv4Key> a, b;
+  a[IPv4Key(1)] = 10;
+  a[IPv4Key(2)] = 20;
+  b[IPv4Key(2)] = 20;
+  b[IPv4Key(1)] = 10;
+  EXPECT_TRUE(a == b);
+  FlowTable<IPv4Key> other_value = b;
+  other_value[IPv4Key(2)] += 1;
+  EXPECT_FALSE(a == other_value);
+  FlowTable<IPv4Key> other_key;
+  other_key[IPv4Key(1)] = 10;
+  other_key[IPv4Key(3)] = 20;
+  EXPECT_FALSE(a == other_key);
+  FlowTable<IPv4Key> subset;
+  subset[IPv4Key(1)] = 10;
+  EXPECT_FALSE(a == subset);
+  EXPECT_FALSE(subset == a);
+}
+
+TEST(FlowTable, DynKeysDifferingOnlyInBitsStayTwoRows) {
+  const IPv4Key addr(10u << 24);  // 10.0.0.0
+  const DynKey slash8 = keys::PrefixSpec(8).Apply(addr);
+  const DynKey slash16 = keys::PrefixSpec(16).Apply(addr);
+  ASSERT_EQ(slash8.buf, slash16.buf);
+  FlowTable<DynKey> table;
+  table[slash8] += 1;
+  table[slash16] += 2;
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.at(slash8), 1u);
+  EXPECT_EQ(table.at(slash16), 2u);
+}
+
+TEST(FlowTable, DecodeIntoNonEmptyTableSumsKeysAlreadyThere) {
+  core::CocoSketch<FiveTuple> sketch(KiB(16), 2, 7);
+  for (const Packet& p :
+       trace::GenerateTrace(trace::TraceConfig::CaidaLike(20000))) {
+    sketch.Update(p.key, p.weight);
+  }
+  const FlowTable<FiveTuple> decoded = sketch.Decode();
+  ASSERT_GT(decoded.size(), 2u);
+  // Every other decoded key, inserted through the key path, plus one key
+  // the sketch never saw.
+  FlowTable<FiveTuple> table;
+  size_t i = 0;
+  for (const auto& [key, size] : decoded) {
+    if (i++ % 2 == 0) table[key] = 1000;
+  }
+  const FiveTuple stranger(1, 2, 3, 4, 5);
+  ASSERT_EQ(decoded.count(stranger), 0u);
+  table[stranger] = 77;
+  sketch.DecodeInto(&table);
+  EXPECT_EQ(table.size(), decoded.size() + 1);
+  i = 0;
+  for (const auto& [key, size] : decoded) {
+    EXPECT_EQ(table.at(key), size + (i++ % 2 == 0 ? 1000 : 0));
+  }
+  EXPECT_EQ(table.at(stranger), 77u);
+}
+
+// ---- Aggregation -----------------------------------------------------------
 
 TEST(Aggregate, Figure7WorkedExample) {
   // Full key (SrcIP, SrcPort); query partial key SrcIP. Table from Fig. 7.

@@ -19,7 +19,6 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,17 +59,11 @@ uint64_t TraceWeight(const std::vector<Packet>& trace) {
   return total;
 }
 
-uint64_t TableMass(const std::unordered_map<FiveTuple, uint64_t>& table) {
-  uint64_t total = 0;
-  for (const auto& [key, value] : table) total += value;
-  return total;
-}
-
 // What RunScaleout must collect with no mid-run epochs, computed on one
 // thread: steer the trace with the run's steering seed (derived from the
 // sketch seed when unset, as RunScaleout does), UpdateBatch each shard's
 // packets into its own sketch, and sum the per-shard decodes.
-std::unordered_map<FiveTuple, uint64_t> UnionOfShardDecodes(
+query::FlowTable<FiveTuple> UnionOfShardDecodes(
     const ScaleoutConfig& config, const std::vector<Packet>& trace) {
   const size_t S = config.num_shards;
   uint64_t steer_seed = config.steering_seed;
@@ -81,7 +74,7 @@ std::unordered_map<FiveTuple, uint64_t> UnionOfShardDecodes(
   const FlowSteering steering(steer_seed, S);
   std::vector<std::vector<Packet>> striped(S);
   for (const Packet& p : trace) striped[steering.Shard(p.key)].push_back(p);
-  std::unordered_map<FiveTuple, uint64_t> table;
+  query::FlowTable<FiveTuple> table;
   for (const std::vector<Packet>& packets : striped) {
     CocoSketch<FiveTuple> sketch(config.sketch_memory_bytes / S, config.d,
                                  config.seed);
@@ -92,7 +85,7 @@ std::unordered_map<FiveTuple, uint64_t> UnionOfShardDecodes(
 }
 
 // Mean relative error of a decoded table over the n largest true flows.
-double TopFlowError(const std::unordered_map<FiveTuple, uint64_t>& table,
+double TopFlowError(const query::FlowTable<FiveTuple>& table,
                     const trace::ExactCounter<FiveTuple>& truth, size_t n) {
   std::vector<std::pair<uint64_t, FiveTuple>> top;
   for (const auto& [key, count] : truth.counts()) top.push_back({count, key});
@@ -173,7 +166,7 @@ TEST(ShardMerge, SteeredShardsMergeToMonolithicFidelity) {
     shards[steering.Shard(p.key)]->Update(p.key, p.weight);
   }
 
-  std::unordered_map<FiveTuple, uint64_t> merged;
+  query::FlowTable<FiveTuple> merged;
   uint64_t shard_mass = 0;
   for (const auto& sk : shards) {
     sk->DecodeInto(&merged);
@@ -182,7 +175,7 @@ TEST(ShardMerge, SteeredShardsMergeToMonolithicFidelity) {
   const uint64_t total = TraceWeight(trace);
   EXPECT_EQ(mono.TotalValue(), total);
   EXPECT_EQ(shard_mass, total);
-  EXPECT_EQ(TableMass(merged), total);
+  EXPECT_EQ(metrics::TotalMass(merged), total);
 
   const auto truth = trace::CountTrace(trace);
   const auto mono_table = mono.Decode();
@@ -263,7 +256,7 @@ TEST(Scaleout, RotationUnderLoadConservesMassPerEpoch) {
   const uint64_t total = TraceWeight(trace);
   EXPECT_EQ(epoch_mass, total);
   EXPECT_EQ(result.total_sketch_mass, total);
-  EXPECT_EQ(TableMass(result.merged_table), total);
+  EXPECT_EQ(metrics::TotalMass(result.merged_table), total);
 
   const ConservationView view = ReadConservation(&registry, "scaleout");
   EXPECT_TRUE(view.Holds());
@@ -292,7 +285,7 @@ TEST(Scaleout, WritersNotStalledByMissingCollector) {
   EXPECT_EQ(result.rotations, 0u);
   ASSERT_EQ(result.epochs.size(), 1u);  // the final sweep only
   EXPECT_EQ(result.total_sketch_mass, TraceWeight(trace));
-  EXPECT_EQ(TableMass(result.merged_table), TraceWeight(trace));
+  EXPECT_EQ(metrics::TotalMass(result.merged_table), TraceWeight(trace));
 }
 
 TEST(Scaleout, DropModeConservationIncludesRxDrops) {
@@ -368,7 +361,7 @@ TEST(Scaleout, KilledWorkerRestoresEveryOwnedShardAcrossEpochs) {
   }
   EXPECT_EQ(result.total_sketch_mass + h.packets_lost_estimate,
             TraceWeight(trace));
-  EXPECT_EQ(TableMass(result.merged_table), result.total_sketch_mass);
+  EXPECT_EQ(metrics::TotalMass(result.merged_table), result.total_sketch_mass);
   EXPECT_TRUE(ReadConservation(&registry).Holds());
 }
 
@@ -458,7 +451,7 @@ TEST(Scaleout, SeedRotationSurvivesEpochSwapsAndFoldsPerSeed) {
     EXPECT_EQ(rec.sketch_mass, rec.applied_weight) << "epoch " << rec.epoch;
   }
   EXPECT_EQ(result.total_sketch_mass, total);
-  EXPECT_EQ(TableMass(result.merged_table), total);
+  EXPECT_EQ(metrics::TotalMass(result.merged_table), total);
   EXPECT_TRUE(ReadConservation(&registry).Holds());
   // The final sweep still sees two seeds: shard 0's rotated one survived
   // the epoch swaps that followed the rotation.

@@ -103,9 +103,7 @@ TEST(V6EndToEnd, CocoSketchOverV6FullKey) {
 
   // And on a /48 source prefix partial key, via the same GROUP BY path.
   const auto by_prefix =
-      query::Aggregate(query::FlowTable<V6Tuple>(decoded.begin(),
-                                                 decoded.end()),
-                       V6KeySpec::SrcIpPrefix(48));
+      query::Aggregate(decoded, V6KeySpec::SrcIpPrefix(48));
   const auto exact_prefix = truth.Aggregate(V6KeySpec::SrcIpPrefix(48));
   uint64_t est_total = 0;
   for (const auto& [key, size] : by_prefix) est_total += size;
