@@ -1,5 +1,5 @@
 // bench_netwide_sync — the three quantitative claims of the network-wide
-// aggregation layer (docs/NETWIDE.md):
+// aggregation layer (docs/NETWIDE.md), and what its sync costs:
 //
 //   1. Accuracy: a sketch-level merge of k shards matches a monolithic
 //      sketch of the same total memory — heavy-hitter F1 within a small
@@ -10,13 +10,20 @@
 //   3. Resilience: an agent/collector run with injected frame faults
 //      (drop + corruption) and one agent restart still converges with the
 //      conservation counters balanced.
+//   4. Sync cost per epoch at e2ebench's netwide_mawi geometry: the median
+//      export and collector-tick time, written to BENCH_netwide_sync.json.
 //
-// Exits nonzero if any of the three claims fails, so the bench doubles as a
-// regression gate.
+// Exits nonzero if any of the three claims fails, or if the sync-cost run
+// fails to sync or to conserve mass, so the bench doubles as a regression
+// gate.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "common/rng.h"
 #include "common/sizes.h"
 #include "core/cocosketch.h"
@@ -257,6 +264,118 @@ bool BenchFaultedConvergence(const std::vector<Packet>& trace) {
   return true;
 }
 
+// ---- 4. sync cost per epoch -------------------------------------------------
+
+double MedianOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// 4 agents x 512 KiB, a MAWI-like trace dealt round-robin, 120 epochs. Per
+// epoch, times every agent's ExportEpoch (build and frame the delta) and the
+// collector's Ticks until every agent is acked (validate and apply). Between
+// epochs the collector decodes its merged view, as a console statement
+// would, so each epoch meets the caches a real one meets. Epoch 1 ships full
+// images and is left out of the medians.
+bool BenchSyncCost() {
+  bench::PrintHeader("sync cost per epoch (netwide_mawi geometry)");
+  constexpr size_t kAgents = 4;
+  constexpr size_t kEpochs = 120;
+  constexpr size_t kPasses = 3;
+  constexpr size_t kAgentMem = KiB(512);
+  const auto trace = trace::GenerateTrace(
+      trace::TraceConfig::MawiLike(bench::BenchPackets(2'000'000)));
+  const auto ms_since = [](std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+
+  std::vector<double> export_ms, tick_ms;
+  for (size_t pass = 0; pass < kPasses; ++pass) {
+    net::LoopbackHub hub;
+    obs::Registry registry;
+    auto ct = hub.MakeCollectorTransport();
+    net::Collector<Sketch>::Options copt;
+    copt.memory_bytes = kAgentMem;
+    net::Collector<Sketch> collector(copt, &ct, &registry);
+    std::vector<std::unique_ptr<Sketch>> sketches;
+    std::vector<net::LoopbackAgentTransport> transports;
+    transports.reserve(kAgents);
+    std::vector<std::unique_ptr<net::Agent<Sketch>>> agents;
+    for (size_t i = 0; i < kAgents; ++i) {
+      sketches.push_back(std::make_unique<Sketch>(kAgentMem, 2));
+      transports.push_back(hub.MakeAgentTransport(i + 1));
+      net::Agent<Sketch>::Options o;
+      o.id = static_cast<uint32_t>(i + 1);
+      agents.push_back(std::make_unique<net::Agent<Sketch>>(
+          o, sketches[i].get(), &transports[i], &registry));
+    }
+
+    uint64_t mass = 0;
+    const size_t per_epoch = trace.size() / kEpochs;
+    for (size_t e = 0; e < kEpochs; ++e) {
+      const size_t begin = e * per_epoch;
+      const size_t end = e + 1 == kEpochs ? trace.size() : begin + per_epoch;
+      for (size_t i = begin; i < end; ++i) {
+        sketches[i % kAgents]->Update(trace[i].key, trace[i].weight);
+        mass += trace[i].weight;
+      }
+      const auto start = std::chrono::steady_clock::now();
+      for (auto& a : agents) a->ExportEpoch();
+      const double exported = ms_since(start);
+      double ticked = 0;
+      bool synced = false;
+      for (int round = 0; round < 64 && !synced; ++round) {
+        const auto tick = std::chrono::steady_clock::now();
+        collector.Tick();
+        ticked += ms_since(tick);
+        synced = true;
+        for (auto& a : agents) {
+          a->Tick();
+          synced &= a->Synced();
+        }
+      }
+      if (!synced) {
+        std::fprintf(stderr, "FAIL: agents did not sync in epoch %zu\n",
+                     e + 1);
+        return false;
+      }
+      if (e > 0) {
+        export_ms.push_back(exported);
+        tick_ms.push_back(ticked);
+      }
+      collector.DecodeMerged();
+    }
+    const auto c = collector.CheckConservation();
+    if (!c.Holds() || c.replica_mass != mass) {
+      std::fprintf(stderr, "FAIL: conservation violated in the sync run\n");
+      return false;
+    }
+  }
+
+  const double export_median = MedianOf(export_ms);
+  const double tick_median = MedianOf(tick_ms);
+  std::printf("%zu agents x %s, %zu packets, %zu epochs x %zu passes\n",
+              kAgents, FormatBytes(kAgentMem).c_str(), trace.size(), kEpochs,
+              kPasses);
+  std::printf("%-24s %10s\n", "median per epoch", "ms");
+  std::printf("%-24s %10.3f\n", "export (all agents)", export_median);
+  std::printf("%-24s %10.3f\n", "collector tick", tick_median);
+
+  bench::BenchJson json("netwide_sync");
+  json.Context("packets", std::to_string(trace.size()));
+  json.Context("agents", std::to_string(kAgents));
+  json.Context("agent_memory", FormatBytes(kAgentMem));
+  json.Context("epochs", std::to_string(kEpochs));
+  json.Context("trace", "mawi-like, round-robin");
+  json.Metric("netwide_sync/export/epochs_per_s", 1e3 / export_median);
+  json.Metric("netwide_sync/collector_tick/epochs_per_s", 1e3 / tick_median);
+  const char* json_path = std::getenv("COCO_BENCH_JSON");
+  json.Write(json_path ? json_path : "BENCH_netwide_sync.json");
+  return true;
+}
+
 }  // namespace
 
 int main() {
@@ -273,6 +392,7 @@ int main() {
   ok &= BenchMergedAccuracy(trace, truth);
   ok &= BenchDeltaBytes(trace);
   ok &= BenchFaultedConvergence(trace);
+  ok &= BenchSyncCost();
   std::printf("\nbench_netwide_sync: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }

@@ -17,7 +17,10 @@
 #             scaleout_test runs again at COCO_TEST_THREADS=2 and =8
 #             (about 20 s each under TSan on a 4-vCPU host).
 #   address — ASan+UBSan over the deserializers, fuzz loops, the
-#             frame/delta decoders, the key probes' word
+#             frame/delta decoders (the delta build's walk over the set
+#             bits of the dirty bitmap, whose last word is partial, and the
+#             collector's in-place delta apply, which reads each entry's
+#             old bucket value before it writes), the key probes' word
 #             loads against the padded SoA key plane, Hash64's overlapping
 #             tail loads against exact-size inputs of every length 0..40,
 #             the flat flow table (query::FlowTable: index growth, and rows

@@ -137,21 +137,31 @@ class BucketStore {
   BucketArray<Key>& MutableBuckets() { return buckets_; }
 
   // ---- Delta-sync dirty tracking (net/delta.h) ----------------------------
-  // When enabled, every bucket whose value changes is flagged; the network
-  // agent ships only flagged buckets each epoch and clears the flags once
-  // the collector acknowledges them. Disabled (the default) the cost is one
-  // empty() branch per update.
-  void EnableDeltaTracking() { dirty_.assign(buckets_.size(), 0); }
+  // When enabled, every bucket whose value changes sets its bit in a bitmap
+  // (bucket i is bit i % 64 of word i / 64; the bits past d*l stay zero);
+  // the network agent ships only the set buckets each epoch and clears the
+  // bits once the collector acknowledges them. Disabled (the default) the
+  // cost is one empty() branch per update.
+  void EnableDeltaTracking() { dirty_.assign((buckets_.size() + 63) / 64, 0); }
   bool DeltaTrackingEnabled() const { return !dirty_.empty(); }
-  const std::vector<uint8_t>& DirtyFlags() const { return dirty_; }
+  const std::vector<uint64_t>& DirtyBits() const { return dirty_; }
   void ClearDirtyFlags() {
-    std::fill(dirty_.begin(), dirty_.end(), uint8_t{0});
+    std::fill(dirty_.begin(), dirty_.end(), uint64_t{0});
   }
   void MarkAllDirty() {
-    std::fill(dirty_.begin(), dirty_.end(), uint8_t{1});
+    std::fill(dirty_.begin(), dirty_.end(), ~uint64_t{0});
+    if (!dirty_.empty() && buckets_.size() % 64 != 0) {
+      dirty_.back() = (uint64_t{1} << (buckets_.size() % 64)) - 1;
+    }
   }
   void MarkDirty(size_t bucket_index) {
-    if (!dirty_.empty()) dirty_[bucket_index] = 1;
+    if (dirty_.empty()) return;
+    dirty_[bucket_index / 64] |= uint64_t{1} << (bucket_index % 64);
+  }
+  // ORs in a bitmap earlier taken from DirtyBits().
+  void MarkDirty(const std::vector<uint64_t>& bits) {
+    COCO_CHECK(bits.size() == dirty_.size(), "dirty bitmap size mismatch");
+    for (size_t w = 0; w < dirty_.size(); ++w) dirty_[w] |= bits[w];
   }
 
   // Total recorded weight. For CocoSketch conservation is a tested
@@ -277,7 +287,7 @@ class BucketStore {
   hash::MultiHash hash_;
   Rng rng_;
   BucketArray<Key> buckets_;
-  std::vector<uint8_t> dirty_;  // empty = delta tracking off
+  std::vector<uint64_t> dirty_;  // bitmap; empty = delta tracking off
   // Ownership churn, update-rule applications and pass-1 misses: the
   // attack-detection signals (core/attack_monitor.h). Register increments
   // on the hot path.

@@ -7,11 +7,11 @@
 //     image when the collector demanded one (nack), nothing was ever acked,
 //     or the delta would be no smaller than the full image — and sends it.
 //   * Exactly one sync frame is in flight: an unacknowledged epoch is resent
-//     after resend_after_ticks ticks, and superseded (its dirty flags folded
+//     after resend_after_ticks ticks, and superseded (its dirty bits ORed
 //     back into the sketch's) when a new epoch is exported first.
-//   * Dirty flags are snapshot-and-cleared at build time and forgotten only
-//     on ack, so no bucket change can fall between two deltas regardless of
-//     drops, reorders, or reconnects.
+//   * The dirty bitmap is snapshot-and-cleared at build time and forgotten
+//     only on ack, so no bucket change can fall between two deltas regardless
+//     of drops, reorders, or reconnects.
 //   * Heartbeats go out every heartbeat_every_ticks ticks so the collector
 //     can distinguish "idle agent" from "dead agent".
 //
@@ -103,7 +103,7 @@ class Agent {
     pending_ = Pending{};
     pending_->epoch = epoch_;
     pending_->bytes = EncodeFrame(frame);
-    pending_->dirty_snapshot = sketch_->DirtyFlags();
+    pending_->dirty_snapshot = sketch_->DirtyBits();
     pending_->is_full = is_full;
     sketch_->ClearDirtyFlags();
     (is_full ? fulls_sent_ : deltas_sent_)->Add();
@@ -138,7 +138,7 @@ class Agent {
   struct Pending {
     uint64_t epoch = 0;
     std::vector<uint8_t> bytes;
-    std::vector<uint8_t> dirty_snapshot;
+    std::vector<uint64_t> dirty_snapshot;
     bool is_full = false;
     bool sent = false;
     uint32_t ticks_since_send = 0;
@@ -166,12 +166,10 @@ class Agent {
   }
 
   // The pending epoch will never be acknowledged (a newer export replaces
-  // it, or the collector nacked it): fold its dirty snapshot back so the
-  // next delta still covers those buckets.
+  // it, or the collector nacked it): OR its dirty snapshot back so the next
+  // delta still covers those buckets.
   void SupersedePending() {
-    for (size_t i = 0; i < pending_->dirty_snapshot.size(); ++i) {
-      if (pending_->dirty_snapshot[i] != 0) sketch_->MarkDirty(i);
-    }
+    sketch_->MarkDirty(pending_->dirty_snapshot);
     pending_.reset();
   }
 

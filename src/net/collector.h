@@ -11,9 +11,11 @@
 //   3. epoch admission: epochs at or below the replica's are duplicates
 //      (re-acked, not applied); a delta whose base epoch is ahead of the
 //      replica is a gap (nacked — the agent falls back to a full image);
-//   4. conservation: after applying a delta to a scratch copy, the scratch's
-//      total mass must equal the mass the agent reported in the payload;
-//      a mismatch discards the scratch and nacks.
+//   4. conservation: before a delta writes anything, its mass arithmetic
+//      (the replica's tracked mass, minus each entry's old bucket value,
+//      plus its new one) must equal the mass the agent reported in the
+//      payload; only then are the entries written in place. A mismatch
+//      leaves the replica untouched and nacks.
 // A corrupt or stale frame is therefore rejected and re-requested, never
 // merged.
 //
@@ -30,7 +32,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -177,6 +178,9 @@ class Collector {
   struct AgentState {
     std::unique_ptr<Sketch> replica;
     uint64_t last_epoch = 0;
+    // The replica's TotalValue(): set from it after a full image, and to the
+    // checked total after a delta. CheckConservation() recomputes the real
+    // one, so any drift fails it.
     uint64_t reported_mass = 0;
     uint32_t ticks_since_heard = 0;
   };
@@ -280,22 +284,16 @@ class Collector {
       Reply(FrameType::kNack, frame);
       return;
     }
-    // Apply to a scratch copy so a structurally-valid-but-inconsistent
-    // payload (conservation mismatch) can be discarded without poisoning
-    // the replica.
-    Sketch scratch(*agent->replica);
-    if (!ApplyDeltaPayload(frame.payload, &scratch, &info)) {
+    // A structurally-valid-but-inconsistent payload (conservation mismatch)
+    // is refused before it writes, so it cannot poison the replica.
+    const DeltaApply applied = ApplyDeltaPayload(
+        frame.payload, agent->reported_mass, agent->replica.get(), &info);
+    if (applied != DeltaApply::kApplied) {
+      if (applied == DeltaApply::kMassMismatch) conservation_failures_->Add();
       rejected_->Add();
       Reply(FrameType::kNack, frame);
       return;
     }
-    if (scratch.TotalValue() != info.total_value) {
-      conservation_failures_->Add();
-      rejected_->Add();
-      Reply(FrameType::kNack, frame);
-      return;
-    }
-    *agent->replica = std::move(scratch);
     agent->last_epoch = frame.epoch;
     agent->reported_mass = info.total_value;
     deltas_applied_->Add();

@@ -1,13 +1,15 @@
 // Delta-sync payloads: ship only the buckets that changed since the last
 // acknowledged export (docs/NETWIDE.md).
 //
-// Sketches track dirty buckets (CocoSketch::EnableDeltaTracking); an agent
-// snapshots the flagged buckets into this payload each epoch. Entries carry
-// the bucket's absolute (key, value) image — not an increment — so applying
-// a delta is idempotent and a retried frame cannot double-count. The payload
-// self-describes its geometry and the sender's total recorded mass, letting
-// the collector verify conservation (replica total == reported total) after
-// every apply and fall back to a full resync on any mismatch.
+// Sketches track dirty buckets in a bitmap (CocoSketch::EnableDeltaTracking);
+// an agent snapshots the set buckets into this payload each epoch. Entries
+// carry the bucket's absolute (key, value) image — not an increment — so
+// applying a delta is idempotent and a retried frame cannot double-count. The
+// payload self-describes its geometry and the sender's total recorded mass,
+// so the apply checks conservation before it writes: the replica's mass after
+// the apply (its mass now, minus each entry's old value, plus its new one)
+// must equal the reported total, or nothing is written and the collector
+// falls back to a full resync.
 //
 //   | d (4 BE) | l (4 BE) | entry_count (4 BE) | base_epoch (8 BE) |
 //   | total_value (8 BE) | hash_seed (8 BE) |
@@ -25,9 +27,10 @@
 // Entries are sorted by strictly increasing bucket index — the canonical
 // form; duplicates or disorder mark a forged/corrupt payload and are
 // rejected. Integrity against bit flips is the enclosing frame's checksum
-// (net/frame.h); validation here is structural.
+// (net/frame.h); validation here checks structure and mass.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -44,17 +47,18 @@ constexpr size_t DeltaEntryBytes() {
   return 4 + Sketch::BucketBytes();
 }
 
-// Serializes every dirty bucket of `sketch`. Does NOT clear the dirty flags:
-// the agent clears them only once the collector acknowledges the epoch, so
-// an unacknowledged delta's changes roll into the next one.
+// Serializes every dirty bucket of `sketch`, walking the set bits of its
+// dirty bitmap in ascending index order. Does NOT clear the dirty bits: the
+// agent clears them only once the collector acknowledges the epoch, so an
+// unacknowledged delta's changes roll into the next one.
 template <typename Sketch>
 std::vector<uint8_t> BuildDeltaPayload(const Sketch& sketch,
                                        uint64_t base_epoch) {
   using Key = typename Sketch::KeyType;
-  const auto& dirty = sketch.DirtyFlags();
+  const auto& dirty = sketch.DirtyBits();
   const auto& buckets = sketch.Buckets();
   uint32_t count = 0;
-  for (const uint8_t flag : dirty) count += flag != 0;
+  for (const uint64_t word : dirty) count += std::popcount(word);
 
   std::vector<uint8_t> out(kDeltaHeaderBytes +
                            count * DeltaEntryBytes<Sketch>());
@@ -65,12 +69,14 @@ std::vector<uint8_t> BuildDeltaPayload(const Sketch& sketch,
   StoreBE64(out.data() + 20, sketch.TotalValue());
   StoreBE64(out.data() + 28, sketch.seed());
   uint8_t* p = out.data() + kDeltaHeaderBytes;
-  for (size_t i = 0; i < dirty.size(); ++i) {
-    if (dirty[i] == 0) continue;
-    StoreBE32(p, static_cast<uint32_t>(i));
-    std::memcpy(p + 4, buckets.KeyBytes(i), Key::kSize);
-    StoreBE32(p + 4 + Key::kSize, buckets.Value(i));
-    p += DeltaEntryBytes<Sketch>();
+  for (size_t w = 0; w < dirty.size(); ++w) {
+    for (uint64_t bits = dirty[w]; bits != 0; bits &= bits - 1) {
+      const size_t i = w * 64 + std::countr_zero(bits);
+      StoreBE32(p, static_cast<uint32_t>(i));
+      std::memcpy(p + 4, buckets.KeyBytes(i), Key::kSize);
+      StoreBE32(p + 4 + Key::kSize, buckets.Value(i));
+      p += DeltaEntryBytes<Sketch>();
+    }
   }
   return out;
 }
@@ -101,52 +107,64 @@ bool PeekDeltaInfo(const std::vector<uint8_t>& payload, DeltaInfo* info) {
   return true;
 }
 
-// Validates `payload` against `replica`'s geometry and hash seed and applies
-// it. The whole payload is validated before the first bucket is written, so a
-// rejected delta leaves the replica untouched. Returns false on any
-// structural violation: short/oversized payload, geometry or seed mismatch,
-// out-of-range or non-increasing bucket indices.
+enum class DeltaApply {
+  kApplied,
+  kMalformed,     // a structural violation; nothing written
+  kMassMismatch,  // well-formed, but fails conservation; nothing written
+};
+
+// Validates `payload` against `replica`'s geometry and hash seed, checks its
+// mass arithmetic, and only then applies it in place. `replica_mass` is the
+// replica's TotalValue(), which the caller tracks. One read-only pass checks
+// the structure (short/oversized payload, geometry or seed mismatch,
+// out-of-range or non-increasing bucket indices → kMalformed) and computes
+// the mass after the apply, replica_mass − Σ old value + Σ entry value; a
+// mass that differs from the sender's total_value is kMassMismatch. The sums
+// wrap in uint64, which is exact because the true mass fits. Entries are
+// strictly ascending, so no bucket's old value is subtracted twice.
 template <typename Sketch>
-bool ApplyDeltaPayload(const std::vector<uint8_t>& payload, Sketch* replica,
-                       DeltaInfo* info) {
+DeltaApply ApplyDeltaPayload(const std::vector<uint8_t>& payload,
+                             uint64_t replica_mass, Sketch* replica,
+                             DeltaInfo* info) {
   using Key = typename Sketch::KeyType;
-  if (payload.size() < kDeltaHeaderBytes) return false;
+  constexpr size_t kEntry = DeltaEntryBytes<Sketch>();
+  if (payload.size() < kDeltaHeaderBytes) return DeltaApply::kMalformed;
   if (LoadBE32(payload.data()) != replica->d() ||
-      LoadBE32(payload.data() + 4) != replica->l()) {
-    return false;
+      LoadBE32(payload.data() + 4) != replica->l() ||
+      LoadBE64(payload.data() + 28) != replica->seed()) {
+    return DeltaApply::kMalformed;
   }
-  if (LoadBE64(payload.data() + 28) != replica->seed()) return false;
   const uint32_t count = LoadBE32(payload.data() + 8);
-  if (payload.size() !=
-      kDeltaHeaderBytes + static_cast<size_t>(count) *
-                              DeltaEntryBytes<Sketch>()) {
-    return false;
+  if (payload.size() != kDeltaHeaderBytes + size_t{count} * kEntry) {
+    return DeltaApply::kMalformed;
   }
   const size_t total_buckets = replica->d() * replica->l();
-  const uint8_t* p = payload.data() + kDeltaHeaderBytes;
-  uint64_t prev = 0;
-  bool first = true;
+  const uint8_t* entries = payload.data() + kDeltaHeaderBytes;
+  const auto& old = replica->Buckets();
+  uint64_t mass = replica_mass;
+  uint32_t prev = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    const uint32_t index = LoadBE32(p + i * DeltaEntryBytes<Sketch>());
-    if (index >= total_buckets) return false;
-    if (!first && index <= prev) return false;  // canonical: strictly ascending
+    const uint8_t* p = entries + i * kEntry;
+    const uint32_t index = LoadBE32(p);
+    if (index >= total_buckets) return DeltaApply::kMalformed;
+    if (i != 0 && index <= prev) return DeltaApply::kMalformed;  // canonical
     prev = index;
-    first = false;
+    mass += uint64_t{LoadBE32(p + 4 + Key::kSize)} - old.Value(index);
   }
+  if (mass != LoadBE64(payload.data() + 20)) return DeltaApply::kMassMismatch;
   auto& buckets = replica->MutableBuckets();
-  p = payload.data() + kDeltaHeaderBytes;
   for (uint32_t i = 0; i < count; ++i) {
+    const uint8_t* p = entries + i * kEntry;
     const uint32_t index = LoadBE32(p);
     buckets.SetKeyBytes(index, p + 4);
     buckets.SetValue(index, LoadBE32(p + 4 + Key::kSize));
-    p += DeltaEntryBytes<Sketch>();
   }
   if (info != nullptr) {
     info->entry_count = count;
     info->base_epoch = LoadBE64(payload.data() + 12);
-    info->total_value = LoadBE64(payload.data() + 20);
+    info->total_value = mass;
   }
-  return true;
+  return DeltaApply::kApplied;
 }
 
 }  // namespace coco::net

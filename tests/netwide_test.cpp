@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -295,7 +298,8 @@ TEST(Delta, RoundTripReplicatesExactState) {
   }
   const auto delta = BuildDeltaPayload(sketch, 1);
   DeltaInfo info;
-  ASSERT_TRUE(ApplyDeltaPayload(delta, &replica, &info));
+  ASSERT_EQ(ApplyDeltaPayload(delta, replica.TotalValue(), &replica, &info),
+            DeltaApply::kApplied);
   EXPECT_EQ(info.base_epoch, 1u);
   EXPECT_EQ(info.total_value, sketch.TotalValue());
   EXPECT_EQ(replica.SerializeState(), sketch.SerializeState());
@@ -330,21 +334,25 @@ TEST(Delta, StructuralGarbageRejectedWithoutSideEffects) {
   CocoSketch<FiveTuple> replica(KiB(4), 2, 77);
   ASSERT_TRUE(replica.RestoreState(sketch.SerializeState()));
   const auto before = replica.SerializeState();
+  const uint64_t mass = replica.TotalValue();
   const auto good = BuildDeltaPayload(sketch, 0);
   ASSERT_GT(good.size(), kDeltaHeaderBytes);
 
   using Sketch = CocoSketch<FiveTuple>;
+  const auto apply = [&](const std::vector<uint8_t>& payload) {
+    return ApplyDeltaPayload(payload, mass, &replica, nullptr);
+  };
   // Truncated.
   std::vector<uint8_t> truncated(good.begin(), good.end() - 3);
-  EXPECT_FALSE(ApplyDeltaPayload(truncated, &replica, nullptr));
+  EXPECT_EQ(apply(truncated), DeltaApply::kMalformed);
   // Geometry lies.
   auto bad_geom = good;
   StoreBE32(bad_geom.data(), 7);
-  EXPECT_FALSE(ApplyDeltaPayload(bad_geom, &replica, nullptr));
+  EXPECT_EQ(apply(bad_geom), DeltaApply::kMalformed);
   // Out-of-range bucket index.
   auto bad_index = good;
   StoreBE32(bad_index.data() + kDeltaHeaderBytes, 0x7fffffff);
-  EXPECT_FALSE(ApplyDeltaPayload(bad_index, &replica, nullptr));
+  EXPECT_EQ(apply(bad_index), DeltaApply::kMalformed);
   // Non-ascending indices (needs at least two entries).
   DeltaInfo info;
   ASSERT_TRUE(PeekDeltaInfo<Sketch>(good, &info));
@@ -357,11 +365,48 @@ TEST(Delta, StructuralGarbageRejectedWithoutSideEffects) {
                 disorder.data() + kDeltaHeaderBytes + entry, entry);
     std::memcpy(disorder.data() + kDeltaHeaderBytes + entry, tmp.data(),
                 entry);
-    EXPECT_FALSE(ApplyDeltaPayload(disorder, &replica, nullptr));
+    EXPECT_EQ(apply(disorder), DeltaApply::kMalformed);
   }
   // Empty.
-  EXPECT_FALSE(ApplyDeltaPayload({}, &replica, nullptr));
+  EXPECT_EQ(apply({}), DeltaApply::kMalformed);
   EXPECT_EQ(replica.SerializeState(), before);
+}
+
+// The conservation check alone catches a well-formed delta whose reported
+// total is off by one (or a replica mass that has drifted), and it refuses
+// before the first bucket is written.
+TEST(Delta, ForgedTotalRejectedWithoutSideEffects) {
+  CocoSketch<FiveTuple> sketch(KiB(8), 2, 77);
+  sketch.EnableDeltaTracking();
+  for (uint32_t i = 0; i < 2000; ++i) {
+    sketch.Update(FiveTuple(i % 301, 2, 3, 4, 6), 1 + i % 9);
+  }
+  CocoSketch<FiveTuple> replica(KiB(8), 2, 77);
+  ASSERT_TRUE(replica.RestoreState(sketch.SerializeState()));
+  sketch.ClearDirtyFlags();
+  for (uint32_t i = 0; i < 200; ++i) {
+    sketch.Update(FiveTuple(i % 401, 2, 3, 4, 6), 1 + i % 5);
+  }
+  const uint64_t mass = replica.TotalValue();
+  const auto before = replica.SerializeState();
+  const auto good = BuildDeltaPayload(sketch, 1);
+  for (const uint64_t forged_total :
+       {sketch.TotalValue() - 1, sketch.TotalValue() + 1}) {
+    auto forged = good;
+    StoreBE64(forged.data() + 20, forged_total);
+    EXPECT_EQ(ApplyDeltaPayload(forged, mass, &replica, nullptr),
+              DeltaApply::kMassMismatch);
+    EXPECT_EQ(replica.SerializeState(), before);
+  }
+  EXPECT_EQ(ApplyDeltaPayload(good, mass + 1, &replica, nullptr),
+            DeltaApply::kMassMismatch);
+  EXPECT_EQ(replica.SerializeState(), before);
+
+  DeltaInfo info;
+  ASSERT_EQ(ApplyDeltaPayload(good, mass, &replica, &info),
+            DeltaApply::kApplied);
+  EXPECT_EQ(info.total_value, sketch.TotalValue());
+  EXPECT_EQ(replica.SerializeState(), sketch.SerializeState());
 }
 
 TEST(Delta, DirtyTrackingIsPreciseForPointUpdates) {
@@ -370,7 +415,7 @@ TEST(Delta, DirtyTrackingIsPreciseForPointUpdates) {
   sketch.ClearDirtyFlags();
   sketch.Update(FiveTuple(9, 9, 9, 9, 6), 5);
   size_t dirty = 0;
-  for (uint8_t f : sketch.DirtyFlags()) dirty += f != 0;
+  for (uint64_t word : sketch.DirtyBits()) dirty += std::popcount(word);
   EXPECT_GE(dirty, 1u);
   EXPECT_LE(dirty, sketch.d());
 }
@@ -595,6 +640,179 @@ TEST(Netwide, SecondEpochShipsDeltaNotFull) {
   EXPECT_LT(registry.GetGauge("net.agent1.delta_ratio")->Value(), 0.5);
   EXPECT_TRUE(collector.CheckConservation().Holds());
   EXPECT_EQ(collector.CheckConservation().replica_mass, sketch.TotalValue());
+}
+
+// The delta `sketch` should ship against an earlier SerializeState() image:
+// every bucket whose image changed, ascending, in the delta entry layout.
+std::vector<uint8_t> ImageDiffPayload(const Sketch& sketch,
+                                      const std::vector<uint8_t>& before,
+                                      uint64_t base_epoch) {
+  const auto after = sketch.SerializeState();
+  const size_t bucket = Sketch::BucketBytes();
+  std::vector<uint8_t> out(kDeltaHeaderBytes);
+  uint32_t count = 0;
+  for (size_t i = 0; i < sketch.d() * sketch.l(); ++i) {
+    const size_t at = core::kStateHeaderBytes + i * bucket;
+    if (std::memcmp(before.data() + at, after.data() + at, bucket) == 0) {
+      continue;
+    }
+    uint8_t index[4];
+    StoreBE32(index, static_cast<uint32_t>(i));
+    out.insert(out.end(), index, index + 4);
+    out.insert(out.end(), after.begin() + at, after.begin() + at + bucket);
+    ++count;
+  }
+  StoreBE32(out.data(), static_cast<uint32_t>(sketch.d()));
+  StoreBE32(out.data() + 4, static_cast<uint32_t>(sketch.l()));
+  StoreBE32(out.data() + 8, count);
+  StoreBE64(out.data() + 12, base_epoch);
+  StoreBE64(out.data() + 20, sketch.TotalValue());
+  StoreBE64(out.data() + 28, sketch.seed());
+  return out;
+}
+
+uint32_t EntryCount(const std::vector<uint8_t>& delta) {
+  DeltaInfo info;
+  EXPECT_TRUE(PeekDeltaInfo<Sketch>(delta, &info));
+  return info.entry_count;
+}
+
+// The dirty bitmap is exact: with every weight >= 1 a bucket's image changes
+// iff its bit is set, so the delta must equal the image diff byte for byte.
+// Each geometry's d*l (60, 240, 963) leaves the last bitmap word partial.
+TEST(Delta, PayloadEqualsImageDiff) {
+  for (const auto& [memory, d] :
+       {std::pair{KiB(1), size_t{1}}, {KiB(4), 2}, {KiB(16), 3}}) {
+    Sketch sketch(memory, d, 77);
+    sketch.EnableDeltaTracking();
+    const size_t buckets = sketch.d() * sketch.l();
+    ASSERT_NE(buckets % 64, 0u);
+    Rng rng(memory + d);
+    for (uint64_t epoch = 0; epoch < 8; ++epoch) {
+      const auto before = sketch.SerializeState();
+      const size_t updates = rng.NextBelow(2 * buckets);
+      for (size_t u = 0; u < updates; ++u) {
+        sketch.Update(
+            FiveTuple(static_cast<uint32_t>(rng.NextBelow(3 * buckets)), 2,
+                      3, 4, 6),
+            1 + static_cast<uint32_t>(rng.NextBelow(1000)));
+      }
+      EXPECT_EQ(BuildDeltaPayload(sketch, epoch),
+                ImageDiffPayload(sketch, before, epoch))
+          << "d*l=" << buckets << " epoch " << epoch;
+      sketch.ClearDirtyFlags();
+      EXPECT_EQ(EntryCount(BuildDeltaPayload(sketch, epoch)), 0u);
+    }
+    // Every bucket, and not one tail bit more: the delta rebuilds the whole
+    // sketch on an empty replica.
+    sketch.MarkAllDirty();
+    const auto all = BuildDeltaPayload(sketch, 0);
+    EXPECT_EQ(EntryCount(all), buckets);
+    Sketch replica(memory, d, 77);
+    ASSERT_EQ(ApplyDeltaPayload(all, 0, &replica, nullptr),
+              DeltaApply::kApplied);
+    EXPECT_EQ(replica.SerializeState(), sketch.SerializeState());
+  }
+
+  // Through the protocol: epoch 2's delta is dropped (hello is the link's
+  // frame 1, epoch 1's full image frame 2), epoch 3 supersedes it, and its
+  // one delta carries both epochs' changes.
+  ovs::FaultPlan plan;
+  plan.frames.push_back({1, 3, ovs::FrameFault::Action::kDrop});
+  LoopbackHub hub(plan);
+  obs::Registry registry;
+  auto ct = hub.MakeCollectorTransport();
+  auto options = CollectorOptions();
+  options.memory_bytes = KiB(4);
+  NetCollector collector(options, &ct, &registry);
+  Sketch sketch(KiB(4), 2);
+  auto at = hub.MakeAgentTransport(1);
+  NetAgent agent({.id = 1}, &sketch, &at, &registry);
+  Rng rng(5);
+  const auto ingest = [&](int packets) {
+    for (int i = 0; i < packets; ++i) {
+      sketch.Update(FiveTuple(static_cast<uint32_t>(rng.NextBelow(600)), 2,
+                              3, 4, 6),
+                    1 + static_cast<uint32_t>(rng.NextBelow(100)));
+    }
+  };
+  ingest(400);
+  agent.ExportEpoch();
+  Converge({&agent}, &collector);
+  ASSERT_EQ(agent.last_acked_epoch(), 1u);
+  const auto acked = sketch.SerializeState();
+  ingest(20);
+  agent.ExportEpoch();
+  ingest(20);
+  agent.ExportEpoch();
+  Converge({&agent}, &collector);
+
+  EXPECT_EQ(hub.Stats().frames_dropped, 1u);
+  EXPECT_EQ(agent.last_acked_epoch(), 3u);
+  const auto counter = [&](const char* name) {
+    return registry.GetCounter(name)->Value();
+  };
+  EXPECT_EQ(counter("net.agent1.fulls_sent"), 1u);
+  EXPECT_EQ(counter("net.collector.deltas_applied"), 1u);
+  EXPECT_EQ(counter("net.collector.nacks_sent"), 0u);
+  EXPECT_EQ(registry.GetHistogram("net.collector.delta_entries")->Sum(),
+            EntryCount(ImageDiffPayload(sketch, acked, 1)));
+  EXPECT_EQ(collector.MergedSketch().SerializeState(),
+            sketch.SerializeState());
+}
+
+// A structurally valid delta whose reported total is off by one, in a frame
+// with a correct checksum: only the conservation check can refuse it.
+TEST(Netwide, ForgedDeltaMassIsNackedAndReplicaUntouched) {
+  LoopbackHub hub;
+  obs::Registry registry;
+  auto ct = hub.MakeCollectorTransport();
+  NetCollector collector(CollectorOptions(), &ct, &registry);
+  Sketch sketch(kMem, 2);
+  auto at = hub.MakeAgentTransport(7);
+  NetAgent agent({.id = 7}, &sketch, &at, &registry);
+  for (uint32_t i = 0; i < 5000; ++i) {
+    sketch.Update(FiveTuple(i % 97, 2, 3, 4, 6), 1 + i % 13);
+  }
+  agent.ExportEpoch();
+  Converge({&agent}, &collector);
+  ASSERT_EQ(agent.last_acked_epoch(), 1u);
+  const auto counter = [&](const std::string& name) {
+    return registry.GetCounter(name)->Value();
+  };
+  const auto table = collector.DecodeMerged();
+  const uint64_t mass = collector.CheckConservation().replica_mass;
+  const uint64_t rejected = counter("net.collector.frames_rejected");
+  const uint64_t nacks = counter("net.collector.nacks_sent");
+
+  sketch.Update(FiveTuple(1, 1, 1, 1, 6), 100);
+  auto forged = BuildDeltaPayload(sketch, 1);
+  StoreBE64(forged.data() + 20, sketch.TotalValue() + 1);
+  ASSERT_TRUE(at.Send(EncodeFrame({FrameType::kDelta, 7, 2, forged})));
+  collector.Tick();
+
+  EXPECT_EQ(counter("net.collector.conservation_failures"), 1u);
+  EXPECT_EQ(counter("net.collector.frames_rejected"), rejected + 1);
+  EXPECT_EQ(counter("net.collector.nacks_sent"), nacks + 1);
+  EXPECT_EQ(collector.LastEpochOf(7), 1u);
+  EXPECT_TRUE(collector.DecodeMerged() == table);
+  const auto c = collector.CheckConservation();
+  EXPECT_TRUE(c.Holds());
+  EXPECT_EQ(c.replica_mass, mass);
+
+  // The nack demands a full image, which brings the replica level with the
+  // sketch again.
+  agent.Tick();
+  EXPECT_EQ(counter("net.agent7.nacks_received"), 1u);
+  agent.ExportEpoch();
+  Converge({&agent}, &collector);
+  EXPECT_EQ(agent.last_acked_epoch(), 2u);
+  EXPECT_EQ(counter("net.agent7.fulls_sent"), 2u);
+  EXPECT_EQ(counter("net.collector.conservation_failures"), 1u);
+  EXPECT_TRUE(collector.CheckConservation().Holds());
+  EXPECT_EQ(collector.CheckConservation().replica_mass, sketch.TotalValue());
+  EXPECT_EQ(collector.MergedSketch().SerializeState(),
+            sketch.SerializeState());
 }
 
 TEST(Netwide, RecoversFromDropCorruptDuplicateAndDelay) {
