@@ -32,7 +32,7 @@
 // Example session:
 //   cocotool generate /tmp/t.cocotrc 500000
 //   cocotool measure /tmp/t.cocotrc /tmp/t.state 500 2
-//   cocotool query /tmp/t.state "SELECT SrcIP/16, SUM(Size) FROM flows \
+//   cocotool query /tmp/t.state "SELECT SrcIP/16, SUM(Size) FROM flows
 //       GROUP BY SrcIP/16 ORDER BY SUM(Size) DESC LIMIT 10" 500 2
 //   cocotool stats /tmp/t.state 500 2
 #include <cstdio>

@@ -4,7 +4,7 @@
 //
 // Usage:
 //   ./build/examples/sql_console
-//   ./build/examples/sql_console "SELECT SrcIP/16, SUM(Size) FROM flows \
+//   ./build/examples/sql_console "SELECT SrcIP/16, SUM(Size) FROM flows
 //        GROUP BY SrcIP/16 ORDER BY SUM(Size) DESC LIMIT 5"
 #include <cstdio>
 #include <string>

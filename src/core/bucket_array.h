@@ -19,19 +19,16 @@
 // key bytes, so pad bytes can never go stale. Anything writing key_words
 // directly must preserve that.
 //
-// Key probes. A packet's key is lifted once into a probe and compared
-// against its d mapped buckets:
+// Key probes. Sketch keys are at most 16 bytes. A packet's key is lifted
+// once into a ShortProbe — its padded key words assembled straight from the
+// key bytes into general-purpose registers — and compared against its d
+// mapped buckets. Building the words in a stack array instead writes the
+// tail word in pieces (zero pad, then key bytes), and reloading it stalls
+// store-to-load forwarding once per packet; and two register compares beat
+// both the xmm and the ymm probe (movemask + flags round-trip) in
+// same-process measurement.
 //
-//   * keys of <= 16 bytes use ShortProbe — the padded key words assembled
-//     straight from the key bytes into general-purpose registers. Building
-//     them in a stack array instead writes the tail word in pieces (zero
-//     pad, then key bytes), and reloading it stalls store-to-load
-//     forwarding once per packet; and two register compares beat both the
-//     xmm and the ymm probe (movemask + flags round-trip) in same-process
-//     measurement;
-//   * wider keys (the 37-byte V6Tuple) use PaddedKey, compared word by word.
-//
-// Both probes hold the exact stored slot bytes, so StoreKey and the
+// The probe holds the exact stored slot bytes, so StoreKey and the
 // byte-wise setters produce identical state.
 #pragma once
 
@@ -39,7 +36,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <type_traits>
 #include <vector>
 
 namespace coco::core {
@@ -68,29 +64,12 @@ struct ShortProbe {
   }
 };
 
-// A key lifted to its padded word representation: the probe for keys wider
-// than 16 bytes.
-template <typename Key>
-struct PaddedKey {
-  static constexpr size_t kWords = Key::kWords;
-
-  uint64_t words[kWords];
-
-  // From the key's Key::kSize bytes; only the tail word has pad bytes.
-  explicit PaddedKey(const uint8_t* key) {
-    words[kWords - 1] = 0;
-    std::memcpy(words, key, Key::kSize);
-  }
-  explicit PaddedKey(const Key& k) : PaddedKey(k.data()) {}
-};
-
 template <typename Key>
 class BucketArray {
  public:
+  static_assert(Key::kSize <= 16, "sketch keys are at most 16 bytes");
   static constexpr size_t kKeyWords = Key::kWords;
-  static constexpr bool kShortKey = Key::kSize <= 16;
-  using Probe = std::conditional_t<kShortKey, ShortProbe<Key::kSize>,
-                                   PaddedKey<Key>>;
+  using Probe = ShortProbe<Key::kSize>;
 
   BucketArray() = default;
   explicit BucketArray(size_t n) { Reset(n); }
@@ -152,45 +131,31 @@ class BucketArray {
 
   // Slot i holds the probe key (occupancy not consulted).
   bool KeyMatches(size_t i, const Probe& p) const {
-    if constexpr (kShortKey) {
-      const uint64_t* slot = KeyWords(i);
-      if constexpr (kKeyWords == 1) {
-        return slot[0] == p.w0;
-      } else {
-        // Branchless combine: one test instead of two data-dependent
-        // branches.
-        return ((slot[0] ^ p.w0) | (slot[1] ^ p.w1)) == 0;
-      }
+    const uint64_t* slot = KeyWords(i);
+    if constexpr (kKeyWords == 1) {
+      return slot[0] == p.w0;
     } else {
-      return KeyEquals(i, p.words);
+      // Branchless combine: one test instead of two data-dependent
+      // branches.
+      return ((slot[0] ^ p.w0) | (slot[1] ^ p.w1)) == 0;
     }
   }
 
   // First i in [0, d) whose bucket idx[i] is occupied AND holds the probe
   // key; -1 when no array tracks it (CocoSketch pass 1).
   int FindMatch(const size_t* idx, size_t d, const Probe& p) const {
-    if constexpr (kShortKey) {
-      // Branchless accumulation instead of an early exit: WHICH array holds
-      // a tracked flow is data-dependent (~uniform over arrays), so the exit
-      // branch mispredicts about once per matched packet — worth ~2.5 ns at
-      // d=2 — while the extra compares read lines the batch path already
-      // prefetched. Wide keys keep the early exit: their multi-word compare
-      // is expensive enough to be worth skipping.
-      uint32_t mask = 0;
-      for (size_t i = 0; i < d; ++i) {
-        const uint32_t hit = static_cast<uint32_t>(values_[idx[i]] != 0) &
-                             static_cast<uint32_t>(KeyMatches(idx[i], p));
-        mask |= hit << i;
-      }
-      return mask == 0 ? -1 : __builtin_ctz(mask);
-    } else {
-      for (size_t i = 0; i < d; ++i) {
-        if (values_[idx[i]] != 0 && KeyMatches(idx[i], p)) {
-          return static_cast<int>(i);
-        }
-      }
-      return -1;
+    // Branchless accumulation instead of an early exit: WHICH array holds a
+    // tracked flow is data-dependent (~uniform over arrays), so the exit
+    // branch mispredicts about once per matched packet — worth ~2.5 ns at
+    // d=2 — while the extra compares read lines the batch path already
+    // prefetched.
+    uint32_t mask = 0;
+    for (size_t i = 0; i < d; ++i) {
+      const uint32_t hit = static_cast<uint32_t>(values_[idx[i]] != 0) &
+                           static_cast<uint32_t>(KeyMatches(idx[i], p));
+      mask |= hit << i;
     }
+    return mask == 0 ? -1 : __builtin_ctz(mask);
   }
 
   // Bit i set iff bucket idx[i] holds the probe key, occupancy NOT
@@ -205,12 +170,8 @@ class BucketArray {
 
   // Writes the probe key into slot i; the probe carries zero pads.
   void StoreKey(size_t i, const Probe& p) {
-    if constexpr (kShortKey) {
-      words_[i * kKeyWords] = p.w0;
-      if constexpr (kKeyWords == 2) words_[i * kKeyWords + 1] = p.w1;
-    } else {
-      SetKeyWords(i, p.words);
-    }
+    words_[i * kKeyWords] = p.w0;
+    if constexpr (kKeyWords == 2) words_[i * kKeyWords + 1] = p.w1;
   }
 
   // Prefetch both halves of a bucket ahead of the update pass.

@@ -77,8 +77,7 @@ class MultiHash {
   // so the common case takes a 3-multiply mix over two (overlapping)
   // 64-bit loads instead of Hash64's block loop — every input byte feeds
   // the mix, and distribution quality is property-tested alongside the
-  // index derivation. Longer keys (WideDynKey, IPv6 tuples) fall back to
-  // the general Hash64.
+  // index derivation. Longer inputs fall back to the general Hash64.
   static uint64_t KeyHash(const void* data, size_t len, uint64_t seed) {
     if (len > 16) return Hash64(data, len, seed);
     const uint8_t* p = static_cast<const uint8_t*>(data);

@@ -115,13 +115,11 @@ RmtPipelineModel::RmtPipelineModel(SwitchSpec spec)
 bool RmtPipelineModel::Place(const SketchResourceSpec& sketch) {
   // Tentative placement on a copy; commit only on success.
   std::vector<Resources> tentative = used_;
-  size_t min_stage = 0;  // first stage this atom may occupy
+  size_t min_stage = 0;  // one past the latest stage used so far
   for (const Atom& atom : sketch.atoms) {
-    if (atom.depends_on_previous) {
-      // Must come strictly after the stage of the previous atom; `min_stage`
-      // already tracks one-past the last placed stage for dependent chains.
-    }
     bool placed = false;
+    // A dependent atom starts at `min_stage`, strictly after every stage
+    // used so far, so it follows the atom whose result it consumes.
     for (size_t s = atom.depends_on_previous ? min_stage : 0;
          s < spec_.num_stages; ++s) {
       Resources would = tentative[s];

@@ -116,8 +116,7 @@ struct IpPairKey : FixedKey<8> {
 // key: up to Capacity bytes of payload plus the significant length in bits.
 // Bits beyond `bits` are guaranteed zero by the producers, so equality can
 // compare whole buffers; `bits` additionally distinguishes e.g. 10.0.0.0/8
-// from 10.0.0.0/16. DynKey (16 bytes) covers every IPv4 5-tuple partial key;
-// WideDynKey (40 bytes) covers IPv6 5-tuples.
+// from 10.0.0.0/16. DynKey (16 bytes) covers every IPv4 5-tuple partial key.
 template <size_t Capacity>
 struct BasicDynKey {
   static constexpr size_t kCapacity = Capacity;
@@ -140,7 +139,6 @@ struct BasicDynKey {
 };
 
 using DynKey = BasicDynKey<16>;
-using WideDynKey = BasicDynKey<40>;
 
 // A packet as seen by the measurement data plane: a full key plus an update
 // weight (packet count 1, or byte count).

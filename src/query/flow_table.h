@@ -167,9 +167,9 @@ class FlowTable {
 };
 
 // GROUP BY g(k_F) SUM(Size): `Spec` is any mapping exposing
-// Apply(Key) -> partial key (keys::TupleKeySpec, keys::PrefixSpec,
-// keys::V6KeySpec, ...); the output key type follows the spec. `table` is
-// a FlowTable or any other key -> size map (a baseline's decode).
+// Apply(Key) -> partial key (keys::TupleKeySpec, keys::PrefixSpec, ...);
+// the output key type follows the spec. `table` is a FlowTable or any other
+// key -> size map (a baseline's decode).
 template <typename Table, typename Spec>
 auto Aggregate(const Table& table, const Spec& spec) {
   using Key = typename Table::key_type;

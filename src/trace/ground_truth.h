@@ -61,8 +61,7 @@ class ExactCounter {
 
   // Re-aggregates this counter under a partial-key mapping g(.) —
   // the ground-truth counterpart of the query engine's GROUP BY. The output
-  // key type is whatever the spec produces (DynKey for IPv4 specs,
-  // WideDynKey for IPv6).
+  // key type is whatever the spec produces.
   template <typename Spec>
   auto Aggregate(const Spec& spec) const {
     using OutKey = decltype(spec.Apply(std::declval<const Key&>()));

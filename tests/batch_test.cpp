@@ -1,15 +1,14 @@
 // State-equality tests for the batched update fast path: UpdateBatch must be
 // packet-for-packet identical to per-packet Update() — same buckets, same RNG
 // consumption order — so the sketch state after any batch segmentation of a
-// trace is byte-identical to the per-packet run, at every key width
-// (8-byte IpPairKey, 13-byte FiveTuple, 37-byte V6Tuple), depth and memory
-// size from L1-resident to larger than L2. Decode, stats, merge and state
-// images agree too, and pinned checksums hold the sealed state fixed across
-// versions of the code.
+// trace is byte-identical to the per-packet run, for one- and two-word keys
+// (8-byte IpPairKey, 13-byte FiveTuple), at every depth and memory size from
+// L1-resident to larger than L2. Decode, stats, merge and state images agree
+// too, and pinned checksums hold the sealed state fixed across versions of
+// the code.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -19,13 +18,10 @@
 #include "core/cocosketch.h"
 #include "core/hw_cocosketch.h"
 #include "core/merge.h"
-#include "keys/v6.h"
 #include "trace/generators.h"
 
 namespace coco::core {
 namespace {
-
-using keys::V6Tuple;
 
 const std::vector<Packet>& TestTrace() {
   static const std::vector<Packet> trace =
@@ -105,19 +101,6 @@ TEST(BatchUpdate, SingleWordKeyMatchesPerPacket) {
         return IpPairKey(k.src_ip(), k.dst_ip());
       }),
       0x8b);
-}
-
-TEST(BatchUpdate, WideV6KeyMatchesPerPacket) {
-  // 37-byte keys: the word-array probe and the per-key MultiHash path.
-  ExpectBatchedMatchesPerPacket<V6Tuple>(
-      Rekey<V6Tuple>([](const FiveTuple& k) {
-        uint8_t src[16] = {0x20, 0x01, 0x0d, 0xb8};
-        uint8_t dst[16] = {0xfe, 0x80};
-        std::memcpy(src + 12, k.data(), 4);
-        std::memcpy(dst + 12, k.data() + 4, 4);
-        return V6Tuple(src, dst, k.src_port(), k.dst_port(), k.proto());
-      }),
-      0x76);
 }
 
 TEST(BatchUpdate, CocoStateMatchesScalarRaggedChunks) {

@@ -256,9 +256,9 @@ void ExpectProbeKernelsMatchPlantedKeys(uint64_t seed) {
     std::fill(std::begin(ones), std::end(ones), ~uint64_t{0});
     buckets.SetKeyWords(0, ones);
     buckets.StoreKey(0, probe);
-    EXPECT_EQ(std::memcmp(buckets.KeyWords(0), PaddedKey<Key>(key).words,
-                          sizeof(ones)),
-              0)
+    uint64_t want_words[Key::kWords] = {};
+    std::memcpy(want_words, key.data(), kSize);
+    EXPECT_EQ(std::memcmp(buckets.KeyWords(0), want_words, sizeof(ones)), 0)
         << kSize << "B";
   }
 }
@@ -270,14 +270,6 @@ TEST(BucketArray, ShortProbeKernelsMatchNaiveCompare) {
   ExpectProbeKernelsMatchPlantedKeys<8>(0xa8);
   ExpectProbeKernelsMatchPlantedKeys<13>(0xad);
   ExpectProbeKernelsMatchPlantedKeys<16>(0xb0);
-}
-
-TEST(BucketArray, WideKeyFindMatchAndMaskMatchNaiveCompare) {
-  // The word-array probe: the narrowest wide key, an unpadded three-word
-  // key and the 37-byte V6Tuple layout.
-  ExpectProbeKernelsMatchPlantedKeys<17>(0xb1);
-  ExpectProbeKernelsMatchPlantedKeys<24>(0xb8);
-  ExpectProbeKernelsMatchPlantedKeys<37>(0xc5);
 }
 
 TEST(BucketStore, StatsMatchNaiveScan) {

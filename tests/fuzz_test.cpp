@@ -74,7 +74,9 @@ TEST(SqlFuzz, MutatedValidQueriesFailCleanly) {
     std::string error;
     const auto stmt = query::sql::Parse(text, &error);
     parsed_ok += stmt.has_value();
-    if (!stmt) EXPECT_FALSE(error.empty());
+    if (!stmt) {
+      EXPECT_FALSE(error.empty());
+    }
   }
   // Some mutations are benign (case changes, whitespace), most are not.
   EXPECT_LT(parsed_ok, 3000);
@@ -95,7 +97,9 @@ TEST(TraceIoFuzz, RandomFilesRejected) {
     const auto packets = trace::ReadTrace(path, &ok);
     // Random bytes essentially never start with the magic; whenever the read
     // is rejected the result must be empty.
-    if (!ok) EXPECT_TRUE(packets.empty());
+    if (!ok) {
+      EXPECT_TRUE(packets.empty());
+    }
   }
   std::remove(path.c_str());
 }

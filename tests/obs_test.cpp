@@ -73,7 +73,9 @@ TEST(Histogram, BucketUpperBoundsAreInclusiveBoundaries) {
   for (uint64_t v : {0ull, 1ull, 2ull, 5ull, 1023ull, 1024ull, 123456789ull}) {
     const size_t i = Histogram::BucketIndex(v);
     EXPECT_LE(v, Histogram::BucketUpperBound(i)) << v;
-    if (i > 0) EXPECT_GT(v, Histogram::BucketUpperBound(i - 1)) << v;
+    if (i > 0) {
+      EXPECT_GT(v, Histogram::BucketUpperBound(i - 1)) << v;
+    }
   }
 }
 

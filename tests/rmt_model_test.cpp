@@ -87,6 +87,25 @@ TEST(RmtModel, DependentAtomsLandInLaterStages) {
   EXPECT_FALSE(model.Place(spec));
 }
 
+TEST(RmtModel, CocoSketchKeyArraysNeedALaterStage) {
+  // The hardware-friendly update is unidirectional (§3.3): the key arrays
+  // are written after the value arrays produced the replacement decision,
+  // so one stage is never enough, even where the whole sketch fits one
+  // stage's budget.
+  SwitchSpec one_stage = SwitchSpec::Tofino();
+  one_stage.num_stages = 1;
+  SwitchSpec two_stages = SwitchSpec::Tofino();
+  two_stages.num_stages = 2;
+  for (size_t d : {1, 2}) {
+    const auto coco = SketchResourceSpec::CocoSketch(d);
+    EXPECT_TRUE(coco.Total().FitsWithin(one_stage.per_stage)) << "d=" << d;
+    RmtPipelineModel one(one_stage);
+    EXPECT_FALSE(one.Place(coco)) << "d=" << d;
+    RmtPipelineModel two(two_stages);
+    EXPECT_TRUE(two.Place(coco)) << "d=" << d;
+  }
+}
+
 TEST(RmtModel, DependencyChainLongerThanPipelineFails) {
   SwitchSpec tiny;
   tiny.num_stages = 2;

@@ -93,7 +93,9 @@ TEST(SamplingGate, SameSeedSameDecisions) {
   for (int i = 0; i < 20000; ++i) {
     const bool admit_a = a.Admit();
     ASSERT_EQ(admit_a, b.Admit()) << "diverged at packet " << i;
-    if (admit_a) ASSERT_EQ(a.CompensatedWeight(3), b.CompensatedWeight(3));
+    if (admit_a) {
+      ASSERT_EQ(a.CompensatedWeight(3), b.CompensatedWeight(3));
+    }
   }
 }
 

@@ -99,8 +99,12 @@ TEST(TopKHeap, HeapOrderInvariant) {
     const auto& e = heap.entries();
     for (size_t p = 0; p < e.size(); ++p) {
       const size_t l = 2 * p + 1, r = 2 * p + 2;
-      if (l < e.size()) ASSERT_LE(e[p].estimate, e[l].estimate);
-      if (r < e.size()) ASSERT_LE(e[p].estimate, e[r].estimate);
+      if (l < e.size()) {
+        ASSERT_LE(e[p].estimate, e[l].estimate);
+      }
+      if (r < e.size()) {
+        ASSERT_LE(e[p].estimate, e[r].estimate);
+      }
     }
   }
 }
