@@ -7,12 +7,15 @@
 // Two runs:
 //   1. fault-free backpressure run — health counters all land in `exact`;
 //   2. faulted run (drop-newest ring, injected worker stall, degradation
-//      ladder, checkpoints + a mid-run kill) — every robustness path fires,
-//      and the metrics registry still reconstructs the offered packet count
-//      from exact + degraded + rx_dropped per shard.
+//      ladder, checkpoints + a mid-run kill) with an epoch every 50,000
+//      trace records — every robustness path fires, the metrics registry
+//      still reconstructs the offered packet count from exact + degraded +
+//      rx_dropped per shard, and each of the 8 epochs' sketch mass equals
+//      the weight its shards applied.
 //
 // Both runs publish into an obs::Registry; the final snapshot is exported
-// as JSON to stdout (or to the file given as argv[1]).
+// as JSON to stdout (or to the file given as argv[1]). Exits 1 if the
+// conservation or an epoch check fails.
 //
 // Build & run:  ./build/examples/ovs_pipeline [metrics-out.json]
 #include <cstdio>
@@ -99,6 +102,7 @@ int main(int argc, char** argv) {
   faulty.degrade_enabled = true;
   faulty.checkpoint_interval = 4096;
   faulty.watchdog_timeout_ms = 50;
+  faulty.rotation_interval_packets = 50'000;
   faulty.faults.stalls.push_back({0, 0, 100});  // first-batch stall: backlog
   faulty.faults.kills.push_back({1, packets.size() / faulty.num_shards / 2});
 
@@ -117,6 +121,24 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(view.degraded),
               static_cast<unsigned long long>(view.rx_dropped),
               view.Holds() ? "OK" : "VIOLATED");
+
+  // Epoch E holds trace records [(E - 1) * 50,000, E * 50,000): every mark
+  // reaches its worker, also through drops, the stall and the respawn.
+  bool epochs_ok = faulted.epochs.size() == 8;
+  for (const auto& rec : faulted.epochs) {
+    const bool ok = rec.sketch_mass == rec.applied_weight;
+    epochs_ok &= ok;
+    std::printf("  epoch %-3llu: applied %llu, sketch mass %llu%s\n",
+                static_cast<unsigned long long>(rec.epoch),
+                static_cast<unsigned long long>(rec.applied_weight),
+                static_cast<unsigned long long>(rec.sketch_mass),
+                ok ? "" : " -> MISMATCH");
+  }
+  std::printf("  epochs   : %zu collected (8 expected), %llu waits at a mark "
+              "-> %s\n",
+              faulted.epochs.size(),
+              static_cast<unsigned long long>(faulted.health.epoch_waits),
+              epochs_ok ? "OK" : "VIOLATED");
 
   // Export the faulted run's full snapshot as machine-readable JSON: one
   // compact line on stdout, or the pretty form written to the named file.
@@ -138,5 +160,5 @@ int main(int argc, char** argv) {
   } else {
     std::fclose(out);
   }
-  return view.Holds() ? 0 : 1;
+  return view.Holds() && epochs_ok ? 0 : 1;
 }

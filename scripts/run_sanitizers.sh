@@ -5,17 +5,19 @@
 # code the sanitizers are aimed at:
 #   thread  — TSan over the lock-free SPSC rings, the one datapath's
 #             worker loop and the control loop on its calling thread
-#             (ovs::RunScaleout: epoch rotation under load, the consumer
-#             handoff from a killed worker to its respawned replacement,
-#             stall detection, kill/respawn with per-shard checkpoint
-#             restore, attack detection and seed rotation), the batched
-#             merge, the relaxed-atomic metrics registry, and the
-#             network-wide agent/collector transports — ovs_test,
-#             batch_test, obs_test, netwide_test, adversarial_test,
-#             scaleout_test. The control loop's interleavings (a respawn
-#             during an epoch wait, say) depend on the shard count, so
-#             scaleout_test runs again at COCO_TEST_THREADS=2 and =8
-#             (about 20 s each under TSan on a 4-vCPU host).
+#             (ovs::RunScaleout: the epoch marks each producer publishes
+#             beside its ring and its worker reads after the ring's head,
+#             a worker waiting at a mark until the collector recycles its
+#             previous epoch, the consumer handoff from a killed worker to
+#             its respawned replacement, stall detection, kill/respawn with
+#             per-shard checkpoint restore, attack detection and seed
+#             rotation), the batched merge, the relaxed-atomic metrics
+#             registry, and the network-wide agent/collector transports —
+#             ovs_test, batch_test, obs_test, netwide_test,
+#             adversarial_test, scaleout_test. The interleavings (a respawn
+#             while the other shards wait at a mark, say) depend on the
+#             shard count, so scaleout_test runs again at
+#             COCO_TEST_THREADS=2 and =8.
 #   address — ASan+UBSan over the deserializers, fuzz loops, the
 #             frame/delta decoders (the delta build's walk over the set
 #             bits of the dirty bitmap, whose last word is partial, and the

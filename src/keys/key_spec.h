@@ -22,17 +22,16 @@
 
 namespace coco::keys {
 
-// Appends bit strings into a (Basic)DynKey buffer MSB-first. Partial keys
-// are bit-packed so that a /28 prefix followed by a port still yields a
+// Appends bit strings into a DynKey buffer MSB-first. Partial keys are
+// bit-packed so that a /28 prefix followed by a port still yields a
 // canonical fixed layout with zero padding beyond `bits`.
-template <typename KeyT>
-class BasicBitWriter {
+class BitWriter {
  public:
-  explicit BasicBitWriter(KeyT& out) : out_(out) {}
+  explicit BitWriter(DynKey& out) : out_(out) {}
 
   // Appends the top `bits` bits of the big-endian buffer `data`.
   void Append(const uint8_t* data, uint16_t bits) {
-    COCO_CHECK(out_.bits + bits <= KeyT::kCapacity * 8,
+    COCO_CHECK(out_.bits + bits <= DynKey::kCapacity * 8,
                "partial key exceeds key capacity");
     uint16_t offset = out_.bits;
     if (offset % 8 == 0 && bits % 8 == 0) {
@@ -52,10 +51,8 @@ class BasicBitWriter {
   }
 
  private:
-  KeyT& out_;
+  DynKey& out_;
 };
-
-using BitWriter = BasicBitWriter<DynKey>;
 
 enum class Field : uint8_t {
   kSrcIp,

@@ -27,13 +27,15 @@ struct Accuracy {
 // `truth` maps every real key to its exact size; a key is "correct" when its
 // true size >= threshold and "reported" when its estimate >= threshold.
 // Either side is any key -> size map with find() (a query::FlowTable, an
-// exact counter's std::unordered_map), each typed on its own.
+// exact counter's std::unordered_map), each typed on its own. The relative
+// errors are summed in sorted order, so the ARE does not depend on the
+// truth's iteration order down to the last bit.
 template <typename Estimates, typename Truth>
 Accuracy ScoreThreshold(const Estimates& estimates, const Truth& truth,
                         uint64_t threshold) {
   Accuracy acc;
   size_t correct_reported = 0;
-  double are_sum = 0.0;
+  std::vector<double> errors;
 
   for (const auto& [key, true_size] : truth) {
     if (true_size < threshold) continue;
@@ -41,10 +43,13 @@ Accuracy ScoreThreshold(const Estimates& estimates, const Truth& truth,
     auto it = estimates.find(key);
     const uint64_t est = it == estimates.end() ? 0 : it->second;
     if (est >= threshold) ++correct_reported;
-    are_sum += static_cast<double>(est > true_size ? est - true_size
-                                                   : true_size - est) /
-               static_cast<double>(true_size);
+    errors.push_back(static_cast<double>(est > true_size ? est - true_size
+                                                         : true_size - est) /
+                     static_cast<double>(true_size));
   }
+  std::sort(errors.begin(), errors.end());
+  double are_sum = 0.0;
+  for (const double e : errors) are_sum += e;
   for (const auto& [key, est] : estimates) {
     if (est >= threshold) ++acc.reported_count;
   }

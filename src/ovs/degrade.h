@@ -50,8 +50,6 @@ class DegradeLadder {
     return degraded_;
   }
 
-  bool degraded() const { return degraded_; }
-
   // Number of exact -> degraded transitions, the hysteresis observable.
   uint64_t enter_events() const { return enter_events_; }
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <semaphore>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -65,6 +66,7 @@ struct ShardMetrics {
   obs::Counter* attack_churn_flood = nullptr;
   obs::Counter* seed_rotations = nullptr;
   obs::Counter* attack_degrade_forced = nullptr;
+  obs::Counter* epoch_waits = nullptr;
   obs::Histogram* batch_fill = nullptr;
   obs::Histogram* drain_cycles = nullptr;
   obs::Gauge* occupancy = nullptr;
@@ -96,6 +98,7 @@ ShardMetrics ResolveShardMetrics(obs::Registry* registry,
   m.attack_churn_flood = counter("attack_churn_flood");
   m.seed_rotations = counter("seed_rotations");
   m.attack_degrade_forced = counter("attack_degrade_forced");
+  m.epoch_waits = counter("epoch_waits");
   m.batch_fill = registry->GetHistogram(m.base + ".batch_fill");
   m.drain_cycles = registry->GetHistogram(m.base + ".drain_cycles");
   m.occupancy = registry->GetGauge(m.base + ".occupancy");
@@ -113,10 +116,11 @@ void Bump(obs::Counter* counter, uint64_t n = 1) {
 // worker inherits them after the control loop has joined the dead one.
 struct Shard {
   Shard(const ScaleoutConfig& c, size_t memory_bytes, size_t s,
-        ShardMetrics metrics)
+        ShardMetrics metrics, uint64_t epoch_marks)
       : ring(c.ring_capacity),
         sketches(memory_bytes, c.d, c.seed),
         m(std::move(metrics)),
+        marks(epoch_marks),
         seed(c.seed),
         ladder(kDegradeHighWatermark, kDegradeLowWatermark, c.ring_capacity),
         monitor(c.attack_options) {
@@ -129,9 +133,11 @@ struct Shard {
   SpscRing<Packet> ring;
   EpochShard<FiveTuple> sketches;
   ShardMetrics m;
+  std::vector<uint64_t> marks;  // ring push count at each epoch boundary
+  std::atomic<uint64_t> marked{0};  // marks published (release store)
   std::atomic<bool> producer_done{false};
-  std::atomic<uint64_t> progress{0};  // records applied to this shard
-  std::atomic<uint64_t> epoch_done{0};  // last epoch this shard served
+  std::atomic<uint64_t> progress{0};  // records popped and applied
+  std::atomic<uint64_t> epoch_done{0};  // epochs this shard has published
   // Writer-exclusion probe: 0 = free, 1 = a worker inside an apply
   // section. A failed claim means two threads raced one sketch: a
   // replacement worker ran before the control loop joined the killed one.
@@ -139,7 +145,6 @@ struct Shard {
 
   // ---- writer-owned ----
   uint64_t seed;              // current hash seed; moves on seed rotation
-  uint64_t cur_epoch = 0;
   uint64_t epoch_weight = 0;  // weight applied to the active sketch
   uint64_t epoch_start = 0;   // progress when the active epoch began
   CheckpointStore checkpoints;  // images of the active epoch only
@@ -154,7 +159,6 @@ struct Shard {
   uint64_t honest_streak = 0;   // consecutive honest windows while forced
   uint64_t batches = 0;
   uint64_t update_cycles = 0;  // scaled up from the timed batches
-  uint64_t epoch_rotations = 0;
   // The counters kept for this shard: by its writer, except
   // stalls_detected, which only the control loop writes.
   DatapathHealth health;
@@ -165,18 +169,19 @@ struct Shard {
   std::thread worker;
 };
 
-// Collects one epoch: adds every source's decode to `table` — the union of
-// the shards' decodes — and returns the epoch's record. RSS steering gives
-// the shards disjoint flows, so every shard keeps its own recording
-// capacity and no seed has to match.
+// Collects one epoch: adds every source sketch's decode to `table` — the
+// union of the shards' decodes — and returns the epoch's record. RSS
+// steering gives the shards disjoint flows, so every shard keeps its own
+// recording capacity and no seed has to match.
+template <typename SketchPtr>
 EpochRecord CollectEpoch(uint64_t epoch, uint64_t applied_weight,
-                         const std::vector<const Sketch*>& sources,
+                         const std::vector<SketchPtr>& sources,
                          query::FlowTable<FiveTuple>* table) {
   EpochRecord rec;
   rec.epoch = epoch;
   rec.applied_weight = applied_weight;
   std::vector<uint64_t> seeds;
-  for (const Sketch* sketch : sources) {
+  for (const auto& sketch : sources) {
     rec.sketch_mass += sketch->TotalValue();
     sketch->DecodeInto(table);
     if (std::find(seeds.begin(), seeds.end(), sketch->seed()) == seeds.end()) {
@@ -194,6 +199,7 @@ void AddHealth(const DatapathHealth& from, DatapathHealth* to) {
   to->checkpoints_taken += from.checkpoints_taken;
   to->checkpoints_rejected += from.checkpoints_rejected;
   to->restores += from.restores;
+  to->epoch_waits += from.epoch_waits;
   to->packets_lost_estimate += from.packets_lost_estimate;
   to->attack_windows_suspicious += from.attack_windows_suspicious;
   to->collision_attacks_confirmed += from.collision_attacks_confirmed;
@@ -263,6 +269,10 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   std::vector<uint8_t> shard_of(N);
   std::atomic<size_t> slices_steered{0};
 
+  // Mid-run epoch E holds trace records [(E - 1) * I, E * I) for E * I < N.
+  const uint64_t interval = config.rotation_interval_packets;
+  const uint64_t marks = interval == 0 || N == 0 ? 0 : (N - 1) / interval;
+
   // Triple-buffered per-shard sketches, on the configured hash seed until a
   // seed rotation moves a shard off it.
   std::vector<std::unique_ptr<Shard>> shards;
@@ -270,19 +280,18 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   for (size_t s = 0; s < S; ++s) {
     shards.push_back(std::make_unique<Shard>(
         config, per_shard_memory, s,
-        ResolveShardMetrics(config.registry, config.metrics_prefix, s)));
+        ResolveShardMetrics(config.registry, config.metrics_prefix, s),
+        marks));
   }
 
   FaultInjector injector(config.faults);
   const bool have_faults = !config.faults.Empty();
 
   std::atomic<uint64_t> issued{0};  // NIC token accounting (rate-capped mode)
-  std::atomic<uint64_t> requested_epoch{0};
   std::atomic<uint64_t> busy_cycles{0};
   std::atomic<bool> single_writer_violated{false};
-  // Bumped and notified by every worker exit, killed or done: the control
-  // loop blocks on it when it has nothing to poll for.
-  std::atomic<uint32_t> exits{0};
+  // Released by each epoch publish and worker exit; the control loop waits.
+  std::counting_semaphore<> wake(0);
 
   // Start gate: no producer or worker proceeds until every thread has been
   // spawned. Without it, on a host that serializes threads onto few cores,
@@ -297,12 +306,12 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
 
   // ---- Producers: one per shard ring (single-producer invariant). Producer
   // s steers slice [N*s/S, N*(s+1)/S) of the trace into `shard_of`, waits
-  // until every slice is steered, then walks the ids in trace order and
-  // pushes its shard's records, so each shard sees its records in trace
-  // order. With a rate cap it paces against the shared NIC token bucket.
-  // The NIC delivers in bursts of up to drain_batch records, like a DPDK rx
-  // burst: one token claim and one clock read per burst, so the producers
-  // themselves never become the cap. ----
+  // until every slice is steered, then walks the ids in trace order, pushes
+  // its shard's records (so each shard sees them in trace order) and marks
+  // each epoch boundary. With a rate cap it paces against the shared NIC
+  // token bucket. The NIC delivers in bursts of up to drain_batch records,
+  // like a DPDK rx burst: one token claim and one clock read per burst, so
+  // the producers themselves never become the cap. ----
   std::vector<std::thread> producers;
   producers.reserve(S);
   for (size_t s = 0; s < S; ++s) {
@@ -320,12 +329,22 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
       Shard& sh = *shards[s];
       std::vector<const Packet*> burst(drain_batch);
       size_t next = 0;  // next trace index to look at
+      size_t stop = marks == 0 ? N : interval;  // next epoch boundary, or N
+      uint64_t marked = 0;
       for (;;) {
         size_t n = 0;
-        for (; next < N && n < drain_batch; ++next) {
+        for (; next < stop && n < drain_batch; ++next) {
           if (shard_of[next] == s) burst[n++] = &trace[next];
         }
-        if (n == 0) break;
+        if (n == 0) {
+          if (stop == N) break;
+          // An epoch boundary: the mark is the ring's push count, and takes
+          // no ring slot, so a full ring never drops it.
+          sh.marks[marked] = sh.ring.pushed();
+          sh.marked.store(++marked, std::memory_order_release);
+          stop = interval < N - stop ? stop + interval : N;
+          continue;
+        }
         if (rate_pps > 0) {
           // Wait until the NIC would have delivered the burst's last record.
           const uint64_t last =
@@ -544,23 +563,54 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
       return injector.ShouldKill(s, progress);
     };
 
+    // Rotates at each epoch mark reached (waiting while the collector holds
+    // the previous epoch) and returns how many records precede the next.
+    // The head is read before the mark count, and a mark is published
+    // before any later push, so no unseen mark lies among `ready` records.
+    // Checkpoints go with the retired epoch; a spare built before a seed
+    // rotation is rebuilt on the shard's seed. Out of line, as apply is.
+    const auto room = [&]() __attribute__((noinline)) -> size_t {
+      for (;;) {
+        const size_t ready = sh.ring.SizeApprox();
+        const uint64_t done = sh.epoch_done.load(std::memory_order_relaxed);
+        if (done == sh.marked.load(std::memory_order_acquire)) return ready;
+        const uint64_t progress = sh.progress.load(std::memory_order_relaxed);
+        if (progress < sh.marks[done]) return sh.marks[done] - progress;
+        if (sh.sketches.Rotate(sh.epoch_weight)) {
+          ++sh.health.epoch_waits;
+          Bump(sh.m.epoch_waits);
+        }
+        sh.epoch_weight = 0;
+        sh.epoch_start = progress;
+        sh.checkpoints.Clear();
+        Sketch* sk = sh.sketches.active();
+        if (sk->seed() != sh.seed) {
+          *sk = Sketch(per_shard_memory, config.d, sh.seed);
+        }
+        if (attack_detection) sh.monitor.Reset(sk->Stats());
+        sh.epoch_done.store(done + 1, std::memory_order_release);
+        if (sh.m.epoch) sh.m.epoch->Set(static_cast<double>(done + 1));
+        wake.release();
+      }
+    };
+
     if (respawned) restore();
 
     bool killed = false;
     uint64_t idle_streak = 0;
     while (!killed) {
-      // Drain budget proportional to the backlog (1..4 batches), so a
-      // near-empty ring returns to the rotation check at once.
-      const size_t rounds =
-          1 + std::min<size_t>(3, sh.ring.SizeApprox() / drain_batch);
-      size_t drained = 0;
-      for (size_t r = 0; r < rounds && !killed; ++r) {
-        // Occupancy is sampled before the pop so the ladder sees the
-        // backlog this batch was drained from.
-        const size_t occupancy =
-            config.degrade_enabled ? sh.ring.SizeApprox() : 0;
-        const size_t n = sh.ring.PopBatch(batch.data(), drain_batch);
-        if (n == 0) break;
+      const size_t max =
+          marks == 0 ? drain_batch : std::min(drain_batch, room());
+      // Occupancy is sampled before the pop (and after any wait at a mark)
+      // so the ladder sees the backlog this batch was drained from.
+      const size_t occupancy =
+          config.degrade_enabled ? sh.ring.SizeApprox() : 0;
+      const size_t n = sh.ring.PopBatch(batch.data(), max);
+      if (sh.m.occupancy) {
+        sh.m.occupancy->Set(static_cast<double>(sh.ring.SizeApprox()));
+      }
+      if (n != 0) {
+        idle_streak = 0;
         // The ladder observes occupancy even while the attack response
         // holds the mode degraded, so its own hysteresis state stays
         // current.
@@ -572,39 +622,12 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
           Bump(degraded_mode ? sh.m.degrade_enter : sh.m.degrade_exit);
         }
         killed = apply(n, degraded_mode);
-        drained += n;
-      }
-      if (sh.m.occupancy) {
-        sh.m.occupancy->Set(static_cast<double>(sh.ring.SizeApprox()));
-      }
-
-      // Rotation check, once per polling cycle (== at a batch boundary).
-      // A swap starts the shard's next epoch: its checkpoints belong to the
-      // epoch the control plane now owns, so the store starts fresh, and a
-      // spare built before a seed rotation is rebuilt on the shard's seed.
-      const uint64_t req = requested_epoch.load(std::memory_order_acquire);
-      if (!killed && sh.cur_epoch < req &&
-          sh.sketches.TryRotate(req, sh.epoch_weight)) {
-        sh.epoch_weight = 0;
-        sh.cur_epoch = req;
-        sh.epoch_start = sh.progress.load(std::memory_order_relaxed);
-        sh.checkpoints.Clear();
-        ++sh.epoch_rotations;
-        Sketch* sk = sh.sketches.active();
-        if (sk->seed() != sh.seed) {
-          *sk = Sketch(per_shard_memory, config.d, sh.seed);
-        }
-        if (attack_detection) sh.monitor.Reset(sk->Stats());
-        sh.epoch_done.store(req, std::memory_order_release);
-        if (sh.m.epoch) sh.m.epoch->Set(static_cast<double>(req));
-      }
-
-      if (drained != 0) {
-        idle_streak = 0;
         continue;
       }
+      // Done: producer done (all marks published), ring empty, marks served.
       if (sh.producer_done.load(std::memory_order_acquire) &&
-          sh.ring.SizeApprox() == 0) {
+          sh.ring.SizeApprox() == 0 &&
+          sh.epoch_done.load(std::memory_order_relaxed) == marks) {
         break;
       }
       // A worker whose ring stayed empty for 64 polls (its producer paced
@@ -622,8 +645,7 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
     busy_cycles.fetch_add(ReadCycleCounter() - thread_begin,
                           std::memory_order_relaxed);
     sh.worker_status.store(killed ? kExited : kDone, std::memory_order_release);
-    exits.fetch_add(1, std::memory_order_release);
-    exits.notify_one();
+    wake.release();
   };
 
   for (size_t s = 0; s < S; ++s) {
@@ -637,29 +659,22 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   // ---- Control plane, on the calling thread, until every worker is done:
   // (a) join a killed worker and start its replacement (join-before-respawn
   // keeps each shard single-writer at all times); (b) with a stall timeout,
-  // flag shards whose progress froze while work remained; (c) with a
-  // rotation interval, request epoch k once the shards have applied
-  // k * interval records, and collect it once every shard has served it or
-  // finished. It polls at the cadence its duties need and otherwise sleeps
-  // until a worker exits. ----
+  // flag shards whose progress froze while work remained; (c) collect epoch
+  // E once every shard has published it. It sleeps until a publish or a
+  // worker exit, and with stall detection at most 1 ms. ----
   const bool detect_stalls = config.watchdog_timeout_ms != 0;
-  const uint64_t interval = config.rotation_interval_packets;
   std::vector<StallDetector> detectors(
       S, StallDetector(config.watchdog_timeout_ms));
   std::vector<EpochRecord> epochs;
   query::FlowTable<FiveTuple> merged_table;
-  uint64_t requested = 0;  // last epoch requested
-  bool epoch_pending = false;
+  uint64_t collected = 0;  // mid-run epochs collected
   for (;;) {
-    const uint32_t exits_seen = exits.load(std::memory_order_acquire);
     const uint64_t now_ms = static_cast<uint64_t>(wall.ElapsedSeconds() * 1e3);
     bool all_done = true;
-    bool served = true;  // every running shard has served `requested`
-    uint64_t applied = 0;
+    bool published = collected < marks;  // by every shard: epoch collected+1
     for (size_t s = 0; s < S; ++s) {
       Shard& sh = *shards[s];
-      const uint64_t progress = sh.progress.load(std::memory_order_relaxed);
-      applied += progress;
+      published &= sh.epoch_done.load(std::memory_order_acquire) > collected;
       const int status = sh.worker_status.load(std::memory_order_acquire);
       if (status == kDone) continue;
       all_done = false;
@@ -668,54 +683,41 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
         sh.worker_status.store(kRunning, std::memory_order_release);
         sh.worker = std::thread(worker_fn, s, true);
       }
-      served &= sh.epoch_done.load(std::memory_order_acquire) >= requested;
       const bool pending = !sh.producer_done.load(std::memory_order_acquire) ||
                            sh.ring.SizeApprox() != 0;
-      if (detect_stalls && detectors[s].Observe(progress, now_ms, pending)) {
+      if (detect_stalls &&
+          detectors[s].Observe(sh.progress.load(std::memory_order_relaxed),
+                               now_ms, pending)) {
         ++sh.health.stalls_detected;
         Bump(sh.m.stalls_detected);
       }
     }
 
-    if (epoch_pending && served) {
-      // A shard that finished before serving the epoch publishes nothing;
-      // its mass lands in the final sweep. Recycling re-arms each shard's
-      // next rotation, and its Clear() runs here, never on a writer.
-      std::vector<std::unique_ptr<Sketch>> taken(S);
-      std::vector<const Sketch*> sources;
+    if (published) {
+      // A shard holds one published epoch at most, so each slot holds this
+      // one. Recycle (its Clear() runs here) releases the shard's next mark.
+      std::vector<std::unique_ptr<Sketch>> taken;
       uint64_t weight = 0;
-      for (size_t s = 0; s < S; ++s) {
-        auto pub = shards[s]->sketches.TakePublished();
-        if (pub.sketch == nullptr) continue;
+      for (auto& sh : shards) {
+        auto pub = sh->sketches.TakePublished();
         weight += pub.applied_weight;
-        sources.push_back(pub.sketch.get());
-        taken[s] = std::move(pub.sketch);
+        taken.push_back(std::move(pub.sketch));
       }
-      epochs.push_back(
-          CollectEpoch(requested, weight, sources, &merged_table));
+      epochs.push_back(CollectEpoch(++collected, weight, taken, &merged_table));
       for (size_t s = 0; s < S; ++s) {
-        if (taken[s]) shards[s]->sketches.Recycle(std::move(taken[s]));
+        shards[s]->sketches.Recycle(std::move(taken[s]));
       }
-      epoch_pending = false;
-    }
-    if (all_done) break;
-
-    if (!epoch_pending && interval != 0 &&
-        applied >= (requested + 1) * interval) {
-      ++requested;
-      epoch_pending = true;
-      requested_epoch.store(requested, std::memory_order_release);
       if (config.registry != nullptr) {
         config.registry->GetGauge(config.metrics_prefix + ".run.epoch")
-            ->Set(static_cast<double>(requested));
+            ->Set(static_cast<double>(collected));
       }
+      continue;
     }
-    if (interval != 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    } else if (detect_stalls) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (all_done) break;
+    if (detect_stalls) {
+      (void)wake.try_acquire_for(std::chrono::milliseconds(1));
     } else {
-      exits.wait(exits_seen, std::memory_order_acquire);
+      wake.acquire();
     }
   }
   for (auto& t : producers) t.join();
@@ -723,16 +725,15 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   const double seconds = wall.ElapsedSeconds();
 
   // ---- Final quiescent sweep: the active sketches, collected as one last
-  // epoch. Every requested epoch was collected above, so none is left
-  // published. ----
+  // epoch. Every worker served every mark, and the loop collected each
+  // mid-run epoch, so none is left published. ----
   std::vector<const Sketch*> sources;
   uint64_t weight = 0;
   for (const auto& sh : shards) {
     sources.push_back(sh->sketches.active());
     weight += sh->epoch_weight;
   }
-  epochs.push_back(
-      CollectEpoch(requested + 1, weight, sources, &merged_table));
+  epochs.push_back(CollectEpoch(collected + 1, weight, sources, &merged_table));
 
   DatapathHealth& health = result.health;
   uint64_t update_cycles = 0;
@@ -741,7 +742,7 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
     health.rx_dropped += sh->ring.rx_dropped();
     health.degrade_enter_events += sh->ladder.enter_events();
     result.batches_drained += sh->batches;
-    result.rotations += sh->epoch_rotations;
+    result.rotations += sh->epoch_done.load(std::memory_order_relaxed);
     update_cycles += sh->update_cycles;
   }
   health.stalls_injected = injector.stalls_fired();

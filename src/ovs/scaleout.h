@@ -16,12 +16,12 @@
 //   * The control plane is RunScaleout's calling thread, one loop that
 //     respawns killed workers, flags stalled shards and collects epochs
 //     until every worker is done.
-//   * Epoch-based rotation (ovs/epoch.h): the control plane requests an
-//     epoch; each writer triple-buffer-swaps its sketch at a batch boundary
-//     (O(1), never blocking on readers) and the control plane adds every
-//     published shard sketch's decode to one table: the union of decodes.
-//     Steered shards hold disjoint flows, so each keeps its full recording
-//     capacity and no seed has to match.
+//   * Epochs at fixed trace positions (ovs/epoch.h): each producer marks
+//     every epoch boundary in its shard's stream, each writer swaps its
+//     triple-buffered sketch when it reaches a mark, and the control plane
+//     adds every shard's published decode to one table: the union of
+//     decodes. Steered shards hold disjoint flows, so each keeps its full
+//     recording capacity and no seed has to match.
 //   * Fault tolerance (docs/ROBUSTNESS.md): ring overflow policies, a per-
 //     shard graceful-degradation ladder, periodic per-shard checkpoints,
 //     respawn of a killed worker from its shard's newest valid checkpoint,
@@ -85,9 +85,9 @@ struct ScaleoutConfig {
   // occupancy falls to 1/4 of it.
   bool degrade_enabled = false;
 
-  // Epoch rotation: the control plane requests epoch k once the shards have
-  // applied k * `rotation_interval_packets` records in total, and collects
-  // the published shard sketches. 0 = no mid-run epochs (one final sweep).
+  // Mid-run epoch E holds trace records [(E - 1) * I, E * I) of every shard
+  // for I = `rotation_interval_packets` and each E * I below the trace
+  // length; the final sweep holds the rest. 0 = no mid-run epochs.
   uint64_t rotation_interval_packets = 0;
 
   // Periodic checkpointing: every `checkpoint_interval` records applied to a
@@ -166,6 +166,7 @@ struct DatapathHealth {
   uint64_t checkpoints_taken = 0;
   uint64_t checkpoints_rejected = 0;  // restore candidates failing checksum
   uint64_t restores = 0;              // shards rebuilt after a worker respawn
+  uint64_t epoch_waits = 0;  // marks where a worker waited for the collector
   // Measurement loss from crash recovery: records applied to a shard after
   // its restored checkpoint was taken (their sketch state died with the
   // worker). Recorded mass plus this bound reconstructs the applied weight
@@ -181,8 +182,8 @@ struct DatapathHealth {
   bool rotation_mass_conserved = true;
 };
 
-// One collected epoch (or the final quiescent sweep, epoch id = last
-// requested + 1).
+// One collected epoch (or the final quiescent sweep, epoch id = number of
+// mid-run epochs + 1).
 struct EpochRecord {
   uint64_t epoch = 0;
   // Writer-side accounting: total weight applied into the published sketches
@@ -211,7 +212,7 @@ struct ScaleoutResult {
   double avg_batch_fill = 0.0;
   DatapathHealth health;
 
-  uint64_t rotations = 0;  // successful per-shard epoch swaps
+  uint64_t rotations = 0;  // per-shard epoch swaps: shards x mid-run epochs
 
   // False if the per-sketch writer-exclusion probe ever saw two threads in
   // an apply section of the same sketch concurrently — the single-writer
@@ -231,14 +232,14 @@ struct ScaleoutResult {
 // stage: each steers one slice of the trace by full-key hash into one
 // shard-id byte per record (so at most 256 shards), and once every slice is
 // steered, each pushes its own shard's records in trace order, paced by the
-// NIC cap. One worker per shard drains. The calling thread is the control
-// plane, so the run starts no threads beyond those and the replacements for
-// killed workers. It polls every 100 us with epochs, every 1 ms with stall
-// detection only, and otherwise sleeps until a worker exits.
+// NIC cap, and marks each epoch boundary. One worker per shard drains. The
+// calling thread is the control plane, so the run starts no threads beyond
+// those and the replacements for killed workers. It sleeps until a worker
+// publishes an epoch or exits, and with stall detection wakes every 1 ms.
 // Guaranteed to terminate for any config and FaultPlan: drops never block
 // producers, backpressured producers are always eventually drained, the
-// calling thread respawns every killed worker, and a refused rotation never
-// blocks a writer.
+// calling thread respawns every killed worker, and a worker waits at a mark
+// only until every shard has reached the mark before it.
 ScaleoutResult RunScaleout(const ScaleoutConfig& config,
                            const std::vector<Packet>& trace);
 

@@ -62,6 +62,9 @@ class SpscRing {
     return false;
   }
 
+  // Records pushed so far. Producer side.
+  size_t pushed() const { return head_.load(std::memory_order_relaxed); }
+
   // Packets dropped by PushOrDrop. Readable from any thread.
   uint64_t rx_dropped() const {
     return dropped_.load(std::memory_order_relaxed);

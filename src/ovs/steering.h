@@ -34,9 +34,6 @@ class FlowSteering {
         (static_cast<unsigned __int128>(h) * shards_) >> 64);
   }
 
-  size_t num_shards() const { return shards_; }
-  uint64_t seed() const { return seed_; }
-
  private:
   // Domain-separates the steering hash from the sketch's bucket hashes even
   // when a caller passes the same base seed to both.

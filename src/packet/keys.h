@@ -113,21 +113,20 @@ struct IpPairKey : FixedKey<8> {
 };
 
 // Variable-length key produced by applying a KeySpec mapping g(.) to a full
-// key: up to Capacity bytes of payload plus the significant length in bits.
+// key: up to kCapacity bytes of payload plus the significant length in bits.
 // Bits beyond `bits` are guaranteed zero by the producers, so equality can
 // compare whole buffers; `bits` additionally distinguishes e.g. 10.0.0.0/8
-// from 10.0.0.0/16. DynKey (16 bytes) covers every IPv4 5-tuple partial key.
-template <size_t Capacity>
-struct BasicDynKey {
-  static constexpr size_t kCapacity = Capacity;
+// from 10.0.0.0/16. 16 bytes cover every IPv4 5-tuple partial key.
+struct DynKey {
+  static constexpr size_t kCapacity = 16;
 
-  std::array<uint8_t, Capacity> buf{};
+  std::array<uint8_t, kCapacity> buf{};
   uint16_t bits = 0;
 
   const uint8_t* data() const { return buf.data(); }
   size_t size() const { return (bits + 7) / 8; }
 
-  friend bool operator==(const BasicDynKey& a, const BasicDynKey& b) {
+  friend bool operator==(const DynKey& a, const DynKey& b) {
     return a.bits == b.bits && a.buf == b.buf;
   }
 
@@ -137,8 +136,6 @@ struct BasicDynKey {
 
   std::string ToHex() const { return HexDump(buf.data(), size()); }
 };
-
-using DynKey = BasicDynKey<16>;
 
 // A packet as seen by the measurement data plane: a full key plus an update
 // weight (packet count 1, or byte count).
@@ -168,10 +165,8 @@ template <>
 struct hash<coco::IpPairKey> {
   size_t operator()(const coco::IpPairKey& k) const { return k.Hash(); }
 };
-template <size_t Capacity>
-struct hash<coco::BasicDynKey<Capacity>> {
-  size_t operator()(const coco::BasicDynKey<Capacity>& k) const {
-    return k.Hash();
-  }
+template <>
+struct hash<coco::DynKey> {
+  size_t operator()(const coco::DynKey& k) const { return k.Hash(); }
 };
 }  // namespace std

@@ -1,8 +1,12 @@
 // Unit tests for src/common: byte packing, RNG statistics, size formatting,
-// quantiles.
+// quantiles; and for src/metrics: mean accuracy and the ARE's summation
+// order.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/rng.h"
@@ -155,6 +159,25 @@ TEST(MeanAccuracy, EmptyIsZero) {
   const auto mean = metrics::MeanAccuracy({});
   EXPECT_EQ(mean.recall, 0.0);
   EXPECT_EQ(mean.f1, 0.0);
+}
+
+TEST(ScoreThreshold, AreDoesNotDependOnTruthOrder) {
+  // Relative errors 1, 2^-53 and 2^-53 add up to 1 in that order but to
+  // 1 + 2^-52 smallest first, so a sum in the truth's iteration order moves
+  // the ARE with the container's order. One truth in two orders must score
+  // bit-identically.
+  const uint64_t big = uint64_t{1} << 53;
+  const std::map<uint64_t, uint64_t> estimates = {
+      {1, 8}, {2, big + 1}, {3, big + 1}};
+  const std::vector<std::pair<uint64_t, uint64_t>> truth = {
+      {1, 4}, {2, big}, {3, big}};
+  const std::vector<std::pair<uint64_t, uint64_t>> reordered = {
+      {2, big}, {3, big}, {1, 4}};
+  const auto a = metrics::ScoreThreshold(estimates, truth, 1);
+  const auto b = metrics::ScoreThreshold(estimates, reordered, 1);
+  EXPECT_EQ(a.true_count, 3u);
+  EXPECT_EQ(a.are, b.are);
+  EXPECT_EQ(a.are, (1.0 + 0x1p-52) / 3);
 }
 
 }  // namespace

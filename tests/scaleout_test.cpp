@@ -1,7 +1,8 @@
 // Concurrency battery for the datapath, ovs::RunScaleout (DESIGN.md §7):
 // steering determinism and balance, the union of shard decodes against a
-// monolithic sketch, epoch rotation (writers never blocked, per-epoch and
-// per-shard conservation, no torn reads), a killed worker's shard restored
+// monolithic sketch, epochs (a writer waits at a mark only until the
+// reader recycles, per-epoch and per-shard conservation, no torn reads,
+// epochs at fixed trace positions), a killed worker's shard restored
 // across epochs and respawned with stall detection off, seed rotation
 // surviving epoch swaps, the merged table against a one-thread union
 // (pinned across versions), accuracy independent of the shard count, and
@@ -15,10 +16,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -59,27 +63,43 @@ uint64_t TraceWeight(const std::vector<Packet>& trace) {
   return total;
 }
 
-// What RunScaleout must collect with no mid-run epochs, computed on one
-// thread: steer the trace with the run's steering seed (derived from the
-// sketch seed when unset, as RunScaleout does), UpdateBatch each shard's
-// packets into its own sketch, and sum the per-shard decodes.
+// What RunScaleout must collect, computed on one thread: steer the trace
+// with the run's steering seed (derived from the sketch seed when unset, as
+// RunScaleout does), UpdateBatch each shard's packets of each epoch (trace
+// records [(E - 1) * I, E * I) for I = rotation_interval_packets, the last
+// epoch running to the end; one epoch when I is 0) into a sketch of its
+// own, and sum the decodes. A shard's epochs take turns on two sketches,
+// cleared before reuse, as a shard's active and spare sketches do: Clear()
+// leaves a sketch's replacement RNG where it was.
 query::FlowTable<FiveTuple> UnionOfShardDecodes(
     const ScaleoutConfig& config, const std::vector<Packet>& trace) {
   const size_t S = config.num_shards;
+  const size_t I = config.rotation_interval_packets;
   uint64_t steer_seed = config.steering_seed;
   if (steer_seed == 0) {
     uint64_t mix = config.seed;
     steer_seed = SplitMix64(mix);
   }
   const FlowSteering steering(steer_seed, S);
-  std::vector<std::vector<Packet>> striped(S);
-  for (const Packet& p : trace) striped[steering.Shard(p.key)].push_back(p);
   query::FlowTable<FiveTuple> table;
-  for (const std::vector<Packet>& packets : striped) {
-    CocoSketch<FiveTuple> sketch(config.sketch_memory_bytes / S, config.d,
-                                 config.seed);
-    sketch.UpdateBatch(packets.data(), packets.size());
-    for (const auto& [key, value] : sketch.Decode()) table[key] += value;
+  for (size_t s = 0; s < S; ++s) {
+    CocoSketch<FiveTuple> sketches[2] = {
+        {config.sketch_memory_bytes / S, config.d, config.seed},
+        {config.sketch_memory_bytes / S, config.d, config.seed}};
+    for (size_t begin = 0, e = 0; begin < trace.size(); ++e) {
+      const size_t end = I == 0 ? trace.size()
+                                : std::min(trace.size(), begin + I);
+      std::vector<Packet> packets;
+      for (; begin < end; ++begin) {
+        if (steering.Shard(trace[begin].key) == s) {
+          packets.push_back(trace[begin]);
+        }
+      }
+      CocoSketch<FiveTuple>& sketch = sketches[e % 2];
+      sketch.Clear();
+      sketch.UpdateBatch(packets.data(), packets.size());
+      sketch.DecodeInto(&table);
+    }
   }
   return table;
 }
@@ -195,34 +215,43 @@ TEST(ShardMerge, SteeredShardsMergeToMonolithicFidelity) {
 
 // ---- Epoch rotation -------------------------------------------------------
 
-TEST(Epoch, RotateRefuseRecycleCycle) {
+TEST(Epoch, RotateBlocksUntilRecycled) {
+  // The writer retires epoch 1 at once. At its next mark the reader still
+  // holds epoch 1, so the writer, on a second thread, waits in Rotate, and
+  // writes nothing more, until the reader has taken epoch 1 and recycled
+  // its sketch.
   EpochShard<FiveTuple> shard(KiB(64), 2, 7);
   const FiveTuple key(1, 2, 3, 4, 6);
   shard.active()->Update(key, 10);
-  ASSERT_TRUE(shard.TryRotate(1, 10));
+  EXPECT_FALSE(shard.Rotate(10));  // the spare was ready: no wait
 
-  // Reader lagging: the published slot is occupied, so rotation refuses —
-  // without blocking — and the writer keeps filling the fresh active.
   shard.active()->Update(key, 5);
-  EXPECT_FALSE(shard.TryRotate(2, 5));
-  shard.active()->Update(key, 5);  // writer is demonstrably not stalled
+  std::atomic<bool> rotated{false};
+  std::thread writer([&] {
+    shard.Rotate(5);
+    rotated.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(rotated.load());
 
   auto pub = shard.TakePublished();
   ASSERT_NE(pub.sketch, nullptr);
-  EXPECT_EQ(pub.epoch, 1u);
   EXPECT_EQ(pub.applied_weight, 10u);
   // Per-epoch conservation: the published sketch's mass equals the weight
   // the writer says it applied.
   EXPECT_EQ(pub.sketch->TotalValue(), pub.applied_weight);
+  // Taken but not yet recycled: the writer has no spare, so it still waits.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(rotated.load());
 
-  // Spare not yet recycled: still refused.
-  EXPECT_FALSE(shard.TryRotate(2, 10));
   shard.Recycle(std::move(pub.sketch));
-  ASSERT_TRUE(shard.TryRotate(2, 10));
+  writer.join();
+  EXPECT_TRUE(rotated.load());
   auto pub2 = shard.TakePublished();
   ASSERT_NE(pub2.sketch, nullptr);
-  EXPECT_EQ(pub2.epoch, 2u);
-  EXPECT_EQ(pub2.sketch->TotalValue(), 10u);  // recycled sketch was cleared
+  EXPECT_EQ(pub2.applied_weight, 5u);
+  EXPECT_EQ(pub2.sketch->TotalValue(), 5u);
+  EXPECT_EQ(shard.active()->TotalValue(), 0u);  // the recycled one, cleared
 }
 
 TEST(Scaleout, RotationUnderLoadConservesMassPerEpoch) {
@@ -271,6 +300,55 @@ TEST(Scaleout, RotationUnderLoadConservesMassPerEpoch) {
   }
 }
 
+TEST(Scaleout, MidRunEpochsArePureFunctionsOfTheTrace) {
+  // Mid-run epoch E holds trace records [(E - 1) * I, E * I) in every shard
+  // and the final sweep holds the rest, whatever the thread timing: each
+  // producer marks its shard's epoch boundaries in the shard's stream, and
+  // each worker rotates at its marks, also for an epoch with no records of
+  // its shard. Records weigh their bytes, so a record on the wrong side of
+  // a boundary changes two epochs' weights. Fault-free, backpressured,
+  // uncapped runs, 20 per case; at I = 500 a worker reaches its next mark
+  // before the collector has taken its previous epoch, and waits there.
+  trace::TraceConfig trace_config = trace::TraceConfig::CaidaLike(60'000);
+  trace_config.weight_mode = trace::WeightMode::kBytes;
+  const auto trace = trace::GenerateTrace(trace_config);
+  const size_t N = trace.size();
+  for (const auto& [S, I] : std::vector<std::pair<size_t, size_t>>{
+           {1, 7'500}, {2, 7'500}, {8, 7'500}, {2, 500}}) {
+    ScaleoutConfig config;
+    config.num_shards = S;
+    config.num_workers = S;
+    config.rotation_interval_packets = I;
+    const size_t marks = (N - 1) / I;
+    std::vector<uint64_t> weights(marks + 1, 0);
+    for (size_t i = 0; i < N; ++i) {
+      weights[std::min(i / I, marks)] += trace[i].weight;
+    }
+    const auto reference = UnionOfShardDecodes(config, trace);
+    uint64_t waits = 0;
+    for (int run = 0; run < 20; ++run) {
+      SCOPED_TRACE(testing::Message()
+                   << "S = " << S << ", I = " << I << ", run " << run);
+      const ScaleoutResult result = RunScaleout(config, trace);
+      waits += result.health.epoch_waits;
+      std::vector<uint64_t> applied, masses;
+      for (const EpochRecord& rec : result.epochs) {
+        applied.push_back(rec.applied_weight);
+        masses.push_back(rec.sketch_mass);
+      }
+      EXPECT_EQ(applied, weights);
+      EXPECT_EQ(masses, weights);
+      EXPECT_EQ(result.rotations, S * marks);
+      EXPECT_EQ(result.merged_table, reference);
+    }
+    // 119 collections of two sketches each outlast 20 runs of 500-record
+    // epochs: the wait path ran.
+    if (I == 500) {
+      EXPECT_GT(waits, 0u);
+    }
+  }
+}
+
 TEST(Scaleout, WritersNotStalledByMissingCollector) {
   // No collector at all (rotation_interval_packets == 0): writers run the
   // whole trace against their active sketches and the final sweep publishes
@@ -289,21 +367,35 @@ TEST(Scaleout, WritersNotStalledByMissingCollector) {
 }
 
 TEST(Scaleout, DropModeConservationIncludesRxDrops) {
-  ScaleoutConfig config;
-  config.num_shards = std::min<size_t>(TestThreads(), 2);
-  config.num_workers = config.num_shards;
-  config.ring_capacity = 256;
-  config.overflow = OverflowPolicy::kDropNewest;
-  obs::Registry registry;
-  config.registry = &registry;
+  // Without epochs, and with a 10,000-record interval: a full ring drops
+  // records but never an epoch mark, so every shard rotates at each of the
+  // 7 boundaries and every epoch's sketch mass is its applied weight.
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(80000));
-  const ScaleoutResult result = RunScaleout(config, trace);
-  EXPECT_EQ(result.packets_processed + result.rx_dropped, trace.size());
-  const ConservationView view = ReadConservation(&registry, "scaleout");
-  EXPECT_TRUE(view.Holds());
-  EXPECT_EQ(view.offered, trace.size());
-  EXPECT_EQ(view.rx_dropped, result.rx_dropped);
+  for (const uint64_t interval : {0, 10'000}) {
+    SCOPED_TRACE(testing::Message() << "interval " << interval);
+    ScaleoutConfig config;
+    config.num_shards = std::min<size_t>(TestThreads(), 2);
+    config.num_workers = config.num_shards;
+    config.ring_capacity = 256;
+    config.overflow = OverflowPolicy::kDropNewest;
+    config.rotation_interval_packets = interval;
+    obs::Registry registry;
+    config.registry = &registry;
+    const ScaleoutResult result = RunScaleout(config, trace);
+    EXPECT_EQ(result.packets_processed + result.rx_dropped, trace.size());
+    const ConservationView view = ReadConservation(&registry, "scaleout");
+    EXPECT_TRUE(view.Holds());
+    EXPECT_EQ(view.offered, trace.size());
+    EXPECT_EQ(view.rx_dropped, result.rx_dropped);
+
+    const uint64_t marks = interval == 0 ? 0 : (trace.size() - 1) / interval;
+    EXPECT_EQ(result.rotations, config.num_shards * marks);
+    ASSERT_EQ(result.epochs.size(), marks + 1);
+    for (const EpochRecord& rec : result.epochs) {
+      EXPECT_EQ(rec.sketch_mass, rec.applied_weight) << "epoch " << rec.epoch;
+    }
+  }
 }
 
 TEST(Scaleout, WatchdogStaysQuietOnHealthyRun) {
