@@ -267,7 +267,9 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   const FlowSteering steering(steer_seed, S);
   const size_t N = trace.size();
   std::vector<uint8_t> shard_of(N);
-  std::atomic<size_t> slices_steered{0};
+  // Chunks each producer has filled (release store), a cache line each.
+  struct alignas(64) ChunkCount { std::atomic<size_t> filled{0}; };
+  std::vector<ChunkCount> counts(S);
 
   // Mid-run epoch E holds trace records [(E - 1) * I, E * I) for E * I < N.
   const uint64_t interval = config.rotation_interval_packets;
@@ -283,6 +285,8 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
         ResolveShardMetrics(config.registry, config.metrics_prefix, s),
         marks));
   }
+  const size_t chunk = shards[0]->ring.capacity();
+  const size_t chunks = (N + chunk - 1) / chunk;
 
   FaultInjector injector(config.faults);
   const bool have_faults = !config.faults.Empty();
@@ -304,14 +308,20 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   const double rate_pps = config.nic_rate_mpps * 1e6;
   const bool drop_mode = config.overflow == OverflowPolicy::kDropNewest;
 
-  // ---- Producers: one per shard ring (single-producer invariant). Producer
-  // s steers slice [N*s/S, N*(s+1)/S) of the trace into `shard_of`, waits
-  // until every slice is steered, then walks the ids in trace order, pushes
-  // its shard's records (so each shard sees them in trace order) and marks
-  // each epoch boundary. With a rate cap it paces against the shared NIC
-  // token bucket. The NIC delivers in bursts of up to drain_batch records,
-  // like a DPDK rx burst: one token claim and one clock read per burst, so
-  // the producers themselves never become the cap. ----
+  // ---- Producers: one per shard ring (single-producer invariant). Chunk j
+  // of `shard_of`, one ring's capacity of ids, belongs to producer j mod S:
+  // filling it takes less time than a worker needs to drain a full ring.
+  // Producer s walks the ids in trace order, pushes its shard's records (so
+  // each shard sees them in trace order) and marks each epoch boundary.
+  // Before it walks chunk j it fills its own chunks through j + S, then
+  // yields until chunk j's owner has counted that chunk. So no producer
+  // waits on one that waits on it: an owner short of chunk j walks below
+  // chunk j - S, and a producer blocked on a full ring has filled every
+  // chunk another producer needs to reach its worker's pending mark. With a
+  // rate cap it paces against the shared NIC token bucket. The NIC delivers
+  // in bursts of up to drain_batch records, like a DPDK rx burst: one token
+  // claim and one clock read per burst, so the producers themselves never
+  // become the cap. ----
   std::vector<std::thread> producers;
   producers.reserve(S);
   for (size_t s = 0; s < S; ++s) {
@@ -319,22 +329,37 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
       while (!start_gate.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
-      for (size_t i = N * s / S; i < N * (s + 1) / S; ++i) {
-        shard_of[i] = static_cast<uint8_t>(steering.Shard(trace[i].key));
-      }
-      slices_steered.fetch_add(1, std::memory_order_acq_rel);
-      while (slices_steered.load(std::memory_order_acquire) < S) {
-        std::this_thread::yield();
-      }
       Shard& sh = *shards[s];
       std::vector<const Packet*> burst(drain_batch);
-      size_t next = 0;  // next trace index to look at
+      size_t own = s;     // this producer's next chunk to fill
+      size_t next = 0;    // next trace index to look at
+      size_t walked = 0;  // end of the chunks cleared to walk
       size_t stop = marks == 0 ? N : interval;  // next epoch boundary, or N
       uint64_t marked = 0;
       for (;;) {
         size_t n = 0;
-        for (; next < stop && n < drain_batch; ++next) {
-          if (shard_of[next] == s) burst[n++] = &trace[next];
+        while (n < drain_batch && next < stop) {
+          if (next == walked) {
+            const size_t j = next / chunk;
+            for (; own < chunks && own <= j + S; own += S) {
+              const size_t end = std::min(N, (own + 1) * chunk);
+              for (size_t i = own * chunk; i < end; ++i) {
+                shard_of[i] =
+                    static_cast<uint8_t>(steering.Shard(trace[i].key));
+              }
+              counts[s].filled.store(own / S + 1, std::memory_order_release);
+            }
+            while (counts[j % S].filled.load(std::memory_order_acquire) <=
+                   j / S) {
+              std::this_thread::yield();
+            }
+            walked = std::min(N, walked + chunk);
+          }
+          for (const size_t end = std::min(stop, walked);
+               next < end && n < drain_batch; ++next) {
+            burst[n] = &trace[next];
+            n += shard_of[next] == s;
+          }
         }
         if (n == 0) {
           if (stop == N) break;

@@ -229,17 +229,20 @@ struct ScaleoutResult {
 };
 
 // Runs the trace through the datapath. The producers are the NIC's RSS
-// stage: each steers one slice of the trace by full-key hash into one
-// shard-id byte per record (so at most 256 shards), and once every slice is
-// steered, each pushes its own shard's records in trace order, paced by the
-// NIC cap, and marks each epoch boundary. One worker per shard drains. The
-// calling thread is the control plane, so the run starts no threads beyond
-// those and the replacements for killed workers. It sleeps until a worker
-// publishes an epoch or exits, and with stall detection wakes every 1 ms.
-// Guaranteed to terminate for any config and FaultPlan: drops never block
-// producers, backpressured producers are always eventually drained, the
-// calling thread respawns every killed worker, and a worker waits at a mark
-// only until every shard has reached the mark before it.
+// stage: they steer the trace by full-key hash into one shard-id byte per
+// record (so at most 256 shards), in chunks of one ring's capacity, chunk j
+// filled by producer j mod S. Each producer walks every chunk once its owner
+// has filled it, pushes its own shard's records in trace order, paced by
+// the NIC cap, and marks each epoch boundary. One worker per shard drains.
+// The calling thread is the control plane, so the run starts no threads
+// beyond those and the replacements for killed workers. It sleeps until a
+// worker publishes an epoch or exits, and with stall detection wakes every
+// 1 ms. Guaranteed to terminate for any config and FaultPlan: drops never
+// block producers, backpressured producers are always eventually drained,
+// the calling thread respawns every killed worker, a worker waits at a mark
+// only until every shard has reached the mark before it, and a producer
+// waits only on a chunk's owner that walks more than S chunks behind it,
+// having filled its own chunks through S chunks past its walk.
 ScaleoutResult RunScaleout(const ScaleoutConfig& config,
                            const std::vector<Packet>& trace);
 
