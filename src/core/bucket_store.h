@@ -116,8 +116,10 @@ class BucketStore {
     UpdateBatch(batch.data(), batch.size());
   }
 
+  // Leaves the sketch as a fresh one of its seed, replacement RNG included.
   void Clear() {
     buckets_.ClearAll();
+    rng_ = Rng(seed_ ^ Sketch::kRngSalt);
     key_replacements_ = 0;
     updates_ = 0;
     pass1_misses_ = 0;

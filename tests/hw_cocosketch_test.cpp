@@ -201,5 +201,18 @@ TEST(HwCocoSketch, ClearResets) {
   EXPECT_TRUE(coco.Decode().empty());
 }
 
+TEST(HwCocoSketch, ClearedSketchEqualsFreshSketch) {
+  // As CocoSketch.ClearedSketchEqualsFreshSketch: Clear() restarts the
+  // replacement RNG, so a cleared sketch and a new one end byte-identical.
+  const auto trace = trace::GenerateTrace(trace::TraceConfig::CaidaLike(20000));
+  HwCocoSketch<FiveTuple> cleared(KiB(8), 2, DivisionMode::kExact, 7);
+  cleared.UpdateBatch(trace.data(), trace.size());
+  cleared.Clear();
+  cleared.UpdateBatch(trace.data(), trace.size());
+  HwCocoSketch<FiveTuple> fresh(KiB(8), 2, DivisionMode::kExact, 7);
+  fresh.UpdateBatch(trace.data(), trace.size());
+  EXPECT_EQ(cleared.SerializeState(), fresh.SerializeState());
+}
+
 }  // namespace
 }  // namespace coco::core
