@@ -16,7 +16,10 @@
 #   build/bench/bench_micro_update --benchmark_filter='^$'   # update table only
 #   build/bench/bench_fig14_cpu                              # slower, full roster
 #   build/bench/bench_fig15a_ovs   # BENCH_fig15a_scaling.json: the scale-out
-#                                  # curve; CI asserts only t8's
+#                                  # curve, per shard count the rate with
+#                                  # the sketch (mpps), forwarding only
+#                                  # (forwarding_mpps) and per-core
+#                                  # efficiency; CI asserts only t8's
 #                                  # per_core_efficiency >= 0.7 and never
 #                                  # runs this script on it
 # Each writes its BENCH_*.json into the working directory (override the path
@@ -27,7 +30,7 @@
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
-  sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,29p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 fi
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Reproduce everything: configure, build, run the full test suite, then every
-# benchmark binary, capturing outputs to the repo root (the same artifacts
-# checked in as test_output.txt / bench_output.txt).
+# benchmark binary, writing their outputs to test_output.txt and
+# bench_output.txt in the repo root (not committed).
 #
 # Usage:
 #   scripts/run_all.sh               # default scale (1M-packet traces)

@@ -5,14 +5,17 @@
 # code the sanitizers are aimed at:
 #   thread  — TSan over the lock-free SPSC rings, the one datapath's
 #             worker loop and the control loop on its calling thread
-#             (ovs::RunScaleout: the epoch marks each producer publishes
-#             beside its ring and its worker reads after the ring's head,
-#             a worker waiting at a mark until the collector recycles its
-#             previous epoch, the consumer handoff from a killed worker to
-#             its respawned replacement, stall detection, kill/respawn with
-#             per-shard checkpoint restore, attack detection and seed
-#             rotation), the batched merge, the relaxed-atomic metrics
-#             registry, and the network-wide agent/collector transports —
+#             (ovs::RunScaleout: the shard-id chunks each producer fills
+#             and the padded chunk counts the other producers wait on
+#             before they walk a chunk, the epoch marks each producer
+#             publishes beside its ring and its worker reads after the
+#             ring's head, a worker waiting at a mark until the collector
+#             recycles its previous epoch, the consumer handoff from a
+#             killed worker to its respawned replacement, stall detection,
+#             kill/respawn with per-shard checkpoint restore, attack
+#             detection and seed rotation), the batched merge, the
+#             relaxed-atomic metrics registry, and the network-wide
+#             agent/collector transports —
 #             ovs_test, batch_test, obs_test, netwide_test,
 #             adversarial_test, scaleout_test. The interleavings (a respawn
 #             while the other shards wait at a mark, say) depend on the
