@@ -11,11 +11,14 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "bench_json.h"
+#include "common/check.h"
 #include "common/cycle_clock.h"
 #include "common/rng.h"
 #include "common/sizes.h"
@@ -23,6 +26,7 @@
 #include "core/hw_cocosketch.h"
 #include "hash/multihash.h"
 #include "hash/window_hash.h"
+#include "query/sql.h"
 #include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "sketch/elastic.h"
@@ -170,6 +174,52 @@ void BM_CocoSketchDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CocoSketchDecode);
+
+// The nine statements of e2ebench's query_caida mix: the six default
+// partial keys and SrcIP/8, /16, /24, each with HAVING SUM(Size) >= 1e-4 of
+// the mass and ORDER BY SUM(Size) DESC LIMIT 20, over the decoded table of
+// a 512 KiB, d = 2 sketch of 2M CAIDA-like packets. One iteration executes
+// all nine parsed statements: GROUP BY, HAVING, ORDER BY and the rendering
+// of the returned rows. BM_CocoSketchDecode times the decode.
+void BM_SqlExecute(benchmark::State& state) {
+  struct Fixture {
+    query::FlowTable<FiveTuple> table;
+    std::vector<query::sql::Statement> statements;
+  };
+  static const Fixture fixture = [] {
+    const std::vector<Packet> trace =
+        trace::GenerateTrace(trace::TraceConfig::CaidaLike(2'000'000));
+    core::CocoSketch<FiveTuple> sketch(KiB(512), 2, 0xc0c0);
+    sketch.UpdateBatch(trace.data(), trace.size());
+    Fixture f;
+    f.table = sketch.Decode();
+    const uint64_t threshold = static_cast<uint64_t>(
+        std::ceil(1e-4 * static_cast<double>(sketch.TotalValue())));
+    for (const char* fields :
+         {"SrcIP, DstIP, SrcPort, DstPort, Proto", "SrcIP, DstIP",
+          "SrcIP, SrcPort", "DstIP, DstPort", "SrcIP", "DstIP", "SrcIP/8",
+          "SrcIP/16", "SrcIP/24"}) {
+      const std::string text =
+          std::string("SELECT ") + fields + ", SUM(Size) FROM flows GROUP BY " +
+          fields + " HAVING SUM(Size) >= " + std::to_string(threshold) +
+          " ORDER BY SUM(Size) DESC LIMIT 20";
+      std::string error;
+      const auto statement = query::sql::Parse(text, &error);
+      COCO_CHECK(statement.has_value(), error.c_str());
+      f.statements.push_back(*statement);
+    }
+    return f;
+  }();
+  for (auto _ : state) {
+    for (const query::sql::Statement& statement : fixture.statements) {
+      benchmark::DoNotOptimize(query::sql::Execute(statement, fixture.table));
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() *
+                                               fixture.statements.size()));
+  state.counters["table_rows"] = static_cast<double>(fixture.table.size());
+}
+BENCHMARK(BM_SqlExecute)->Unit(benchmark::kMicrosecond);
 
 // ---- Update-path table ------------------------------------------------------
 

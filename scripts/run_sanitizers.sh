@@ -29,10 +29,12 @@
 #             loads against the padded SoA key plane, Hash64's overlapping
 #             tail loads against exact-size inputs of every length 0..40,
 #             the flat flow table (query::FlowTable: index growth, and rows
-#             hashed, compared and copied from padded bucket words) and the
-#             SQL GROUP BY built on it, and the hostile trace generators
-#             (fuzz_test, hash_test, query_test, sql_test, plus the same
-#             six, for free)
+#             hashed with the keyed two-word fold, compared and copied from
+#             padded bucket words) and the SQL GROUP BY built on it, the
+#             partial-key packer (keys::TupleKeySpec::Pack: UBSan checks
+#             every 128-bit shift count of its runs), and the hostile trace
+#             generators (fuzz_test, hash_test, keys_test, query_test,
+#             sql_test, plus the same six, for free)
 #
 # Usage:
 #   scripts/run_sanitizers.sh            # both presets
@@ -72,7 +74,7 @@ for p in "${presets[@]}"; do
         COCO_TEST_THREADS="${n}" build-threadsan/tests/scaleout_test
       done
       ;;
-    address) run_preset address fuzz_test hash_test query_test sql_test ovs_test batch_test obs_test netwide_test adversarial_test scaleout_test ;;
+    address) run_preset address fuzz_test hash_test keys_test query_test sql_test ovs_test batch_test obs_test netwide_test adversarial_test scaleout_test ;;
     *)
       echo "unknown preset '$p' (expected: thread | address)" >&2
       exit 2

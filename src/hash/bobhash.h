@@ -1,6 +1,7 @@
 // 32-bit Bob Jenkins hash ("Bob Hash", the paper's hash of choice for the CPU
 // implementation, reference [83]) plus a 64-bit Murmur3-style hash used where
-// we want 64 bits of output from one pass (e.g. deriving two indices).
+// we want 64 bits of output from one pass (e.g. deriving two indices), and
+// the keyed two-word fold the flow tables index with.
 //
 // Both are seedable; independent hash functions are obtained by distinct
 // seeds, matching how the paper instantiates the d array hashes.
@@ -18,11 +19,25 @@ namespace coco::hash {
 uint32_t BobHash32(const void* data, size_t len, uint32_t seed);
 
 // 64-bit hash: MurmurHash3 x64 finalizer applied to a xor-folded block mix.
-// Cheap, good avalanche; used by trace generation and the flow tables.
+// Cheap, good avalanche; used by trace generation, steering, frame
+// checksums and the keys' std::hash.
 uint64_t Hash64(const void* data, size_t len, uint64_t seed);
 
 // Convenience for hashing small integers without building a buffer.
 uint64_t HashU64(uint64_t value, uint64_t seed);
+
+// Keyed multiply-fold of two 64-bit words: each word XORed with a secret
+// derived from `seed`, one 64x64->128 multiply, the halves XORed. The index
+// hash of query::FlowTable, whose keys are at most two words; it inlines to
+// a few instructions. It mixes far less than Hash64, so it resists hash
+// flooding only while `seed` is secret: FlowTable keys it with the
+// per-process seed.
+inline uint64_t KeyedFold(uint64_t a, uint64_t b, uint64_t seed) {
+  const unsigned __int128 product =
+      static_cast<unsigned __int128>(a ^ seed) *
+      (b ^ (seed * 0x9e3779b97f4a7c15ULL));
+  return static_cast<uint64_t>(product >> 64) ^ static_cast<uint64_t>(product);
+}
 
 // A family of independent 32-bit hash functions indexed by `i`, implemented
 // as BobHash32 with per-index derived seeds. Sketches hold one HashFamily and

@@ -48,17 +48,41 @@ FieldSel::FieldSel(Field f) : field(f), prefix_bits(0) {
 
 TupleKeySpec::TupleKeySpec(std::string name, std::vector<FieldSel> fields)
     : name_(std::move(name)), fields_(std::move(fields)), total_bits_(0) {
+  // Tuple bits [from, from + bits) go to key bits [to, to + bits), both
+  // counted from the top.
+  struct Span {
+    unsigned from, to, bits;
+  };
+  std::vector<Span> spans;
   for (const FieldSel& sel : fields_) {
     COCO_CHECK(sel.prefix_bits <= FieldBits(sel.field),
                "prefix longer than field");
+    COCO_CHECK(total_bits_ + sel.prefix_bits <= DynKey::kCapacity * 8,
+               "partial key exceeds key capacity");
+    if (sel.prefix_bits == 0) continue;
+    const unsigned from = 8 * FieldOffset(sel.field);
+    // A prefix ends inside its field, so only a whole field can reach the
+    // next field's first bit.
+    if (!spans.empty() && spans.back().from + spans.back().bits == from) {
+      spans.back().bits += sel.prefix_bits;
+    } else {
+      spans.push_back({from, total_bits_, sel.prefix_bits});
+    }
     total_bits_ = static_cast<uint16_t>(total_bits_ + sel.prefix_bits);
-    if (sel.prefix_bits != 0) {
-      slices_.push_back({static_cast<uint8_t>(8 * FieldOffset(sel.field)),
-                         sel.prefix_bits});
+  }
+  // The top n bits of a 128-bit value.
+  const auto top = [](unsigned n) {
+    return n == 0 ? static_cast<unsigned __int128>(0)
+                  : ~static_cast<unsigned __int128>(0) << (128 - n);
+  };
+  for (const Span& s : spans) {
+    const unsigned __int128 mask = top(s.to + s.bits) & ~top(s.to);
+    if (s.from >= s.to) {
+      up_runs_.push_back({mask, static_cast<uint8_t>(s.from - s.to)});
+    } else {
+      down_runs_.push_back({mask, static_cast<uint8_t>(s.to - s.from)});
     }
   }
-  COCO_CHECK(total_bits_ <= DynKey::kCapacity * 8,
-             "partial key exceeds key capacity");
 }
 
 std::vector<TupleKeySpec> TupleKeySpec::DefaultSix() {

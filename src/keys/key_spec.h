@@ -1,11 +1,15 @@
 // Partial-key specifications — the mapping g : k_F -> k_P of Definition 1.
 //
-// A TupleKeySpec selects a subset of 5-tuple fields (in canonical order) with
-// optional bit-granularity prefixes on IP fields; it packs a FiveTuple's
-// selected bits into one 128-bit PackedKey (Pack) and renders that as a
-// DynKey (Apply). PrefixSpec / PrefixPairSpec are the analogous mappings
-// for the 1-d (SrcIP) and 2-d (SrcIP, DstIP) HHH hierarchies. All mappings
-// are deterministic and pure, so the subset-sum identity
+// A TupleKeySpec selects 5-tuple fields, in any order, with optional
+// bit-granularity prefixes on IP fields; it packs a FiveTuple's selected
+// bits into one 128-bit PackedKey (Pack) and renders that as a DynKey
+// (Apply). Its constructor compiles the field list into runs once: a field
+// that follows its neighbour in the 5-tuple joins that neighbour's run, so
+// Pack costs one shift and one mask per run. The 5-tuple and (SrcIP, DstIP)
+// are one run each, (SrcIP, SrcPort) is two. PrefixSpec / PrefixPairSpec
+// are the analogous mappings for the 1-d (SrcIP) and 2-d (SrcIP, DstIP)
+// HHH hierarchies. All mappings are deterministic and pure, so the
+// subset-sum identity
 //   f(e) = sum over {e' : g(e') = e} f(e')
 // holds by construction and is property-tested in tests/keys_test.cpp.
 #pragma once
@@ -18,6 +22,7 @@
 
 #include "common/bytes.h"
 #include "common/check.h"
+#include "hash/bobhash.h"
 #include "packet/keys.h"
 
 namespace coco::keys {
@@ -84,15 +89,8 @@ struct PackedKey {
 
   friend auto operator<=>(const PackedKey&, const PackedKey&) = default;
 
-  // Keyed index hash (query::FlowTable): both words XORed with secrets
-  // derived from `seed`, one 64x64->128 multiply, the halves folded.
-  uint64_t Hash(uint64_t seed) const {
-    const unsigned __int128 product =
-        static_cast<unsigned __int128>(hi ^ seed) *
-        (lo ^ (seed * 0x9e3779b97f4a7c15ULL));
-    return static_cast<uint64_t>(product >> 64) ^
-           static_cast<uint64_t>(product);
-  }
+  // Keyed index hash (query::FlowTable): hash::KeyedFold of the two words.
+  uint64_t Hash(uint64_t seed) const { return hash::KeyedFold(hi, lo, seed); }
 };
 
 // A partial key of the 5-tuple full key.
@@ -102,18 +100,15 @@ class TupleKeySpec {
 
   // g(.) — extract, mask, and concatenate the selected fields. The 5-tuple
   // is read as one 128-bit value (SrcIP at the top, Proto ending at bit
-  // 24), so each field is a shift of it.
+  // 24), and each run moves into place with one shift and one mask.
   PackedKey Pack(const FiveTuple& full) const {
     const uint8_t* b = full.data();
     const unsigned __int128 tuple =
         (static_cast<unsigned __int128>(LoadBE64(b)) << 64) |
-        (static_cast<uint64_t>(LoadBE32(b + 8)) << 32) |
-        (static_cast<uint64_t>(b[12]) << 24);
+        (LoadBE64(b + 5) << 24);
     unsigned __int128 acc = 0;
-    for (const Slice& s : slices_) {
-      acc = (acc << s.bits) | ((tuple << s.shift) >> (128 - s.bits));
-    }
-    if (total_bits_ != 0) acc <<= 128 - total_bits_;
+    for (const Run& r : up_runs_) acc |= (tuple << r.shift) & r.mask;
+    for (const Run& r : down_runs_) acc |= (tuple >> r.shift) & r.mask;
     return {static_cast<uint64_t>(acc >> 64), static_cast<uint64_t>(acc)};
   }
 
@@ -147,16 +142,18 @@ class TupleKeySpec {
   static TupleKeySpec SrcIpPrefix(uint8_t bits);
 
  private:
-  // One non-empty field: its `bits` top bits sit `shift` bits below the
-  // top of the 128-bit tuple.
-  struct Slice {
+  // Selected bits of the tuple that land next to each other in the packed
+  // key: shifted by `shift` toward the top (up_runs_) or the bottom
+  // (down_runs_), they are the bits of `mask`. The masks are disjoint.
+  struct Run {
+    unsigned __int128 mask;
     uint8_t shift;
-    uint8_t bits;
   };
 
   std::string name_;
   std::vector<FieldSel> fields_;
-  std::vector<Slice> slices_;
+  std::vector<Run> up_runs_;
+  std::vector<Run> down_runs_;
   uint16_t total_bits_;
 };
 

@@ -58,13 +58,8 @@ struct FixedKey {
     return BytesEqual(a.bytes.data(), b.bytes.data());
   }
 
-  // Hash() of the N-byte key at `key`.
-  static uint64_t HashBytes(const uint8_t* key, uint64_t seed) {
-    return hash::Hash64(key, N, seed);
-  }
-
   uint64_t Hash(uint64_t seed = 0) const {
-    return HashBytes(bytes.data(), seed);
+    return hash::Hash64(bytes.data(), N, seed);
   }
 
   std::string ToHex() const { return HexDump(bytes.data(), N); }

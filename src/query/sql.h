@@ -16,10 +16,12 @@
 // aggregation §4.3's queries need), and together select at most 128 bits.
 // Keywords are case-insensitive.
 //
-// The executor compiles the field list to a keys::TupleKeySpec and groups
-// the decoded flow table by each row's packed partial key
-// (TupleKeySpec::Pack, one 128-bit value) into a flat
-// query::FlowTable<keys::PackedKey>: no node or DynKey per group. Only the
+// The executor compiles the field list to a keys::TupleKeySpec, whose runs
+// pack a row with one shift and one mask per run of fields that are
+// neighbours in the 5-tuple, and groups the decoded flow table by each
+// row's packed partial key (TupleKeySpec::Pack, one 128-bit value) into a
+// flat query::FlowTable<keys::PackedKey>, indexed by the keyed two-word
+// fold (hash::KeyedFold): no node or DynKey per group. Only the
 // groups that pass HAVING are copied out; ORDER BY SUM(Size) DESC
 // partially sorts them (only the first LIMIT k need order; ties by key,
 // which is query::KeyOrderLess's order), and only the returned rows get a

@@ -3,7 +3,9 @@
 // of Definition 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -187,10 +189,40 @@ DynKey PackBitByBit(const FiveTuple& t, const std::vector<FieldSel>& sels) {
   return out;
 }
 
+// Pack's two words and Apply against PackBitByBit on 50 random tuples, and
+// PackedKey order against query::KeyOrderLess's order of the DynKeys.
+void ExpectPacksBitByBit(const std::vector<FieldSel>& sels, Rng& rng) {
+  std::string fields;
+  for (const FieldSel& sel : sels) {
+    fields += std::to_string(static_cast<int>(sel.field)) + "/" +
+              std::to_string(sel.prefix_bits) + " ";
+  }
+  SCOPED_TRACE("fields " + fields);
+  const TupleKeySpec spec("random", sels);
+  FiveTuple prev;
+  for (int k = 0; k < 50; ++k) {
+    const FiveTuple t(static_cast<uint32_t>(rng.Next()),
+                      static_cast<uint32_t>(rng.Next()),
+                      static_cast<uint16_t>(rng.Next()),
+                      static_cast<uint16_t>(rng.Next()),
+                      static_cast<uint8_t>(rng.Next()));
+    const DynKey want = PackBitByBit(t, sels);
+    const keys::PackedKey packed = spec.Pack(t);
+    ASSERT_EQ(packed.hi, LoadBE64(want.buf.data())) << want.ToHex();
+    ASSERT_EQ(packed.lo, LoadBE64(want.buf.data() + 8)) << want.ToHex();
+    ASSERT_EQ(spec.Apply(t), want) << spec.Apply(t).ToHex() << " vs "
+                                   << want.ToHex();
+    EXPECT_EQ(packed < spec.Pack(prev),
+              query::KeyOrderLess(want, spec.Apply(prev)));
+    prev = t;
+  }
+}
+
 TEST(TupleKeySpec, ApplyMatchesBitByBitPackerOnRandomSubsets) {
-  // Every prefix length 0..32 on SrcIP, each with random field subsets in
-  // random order (DstIP with a random prefix). Also checks that PackedKey
-  // order is query::KeyOrderLess's order for keys of one spec.
+  // Every prefix length 0..32 on SrcIP, each with random field subsets
+  // (DstIP whole or with a random prefix), in canonical order, where whole
+  // neighbours merge into one run, and again in random order; then all five
+  // fields, forwards, backwards and with a field repeated.
   Rng rng(0xb175);
   const Field all[] = {Field::kSrcIp, Field::kDstIp, Field::kSrcPort,
                        Field::kDstPort, Field::kProto};
@@ -199,33 +231,27 @@ TEST(TupleKeySpec, ApplyMatchesBitByBitPackerOnRandomSubsets) {
       std::vector<FieldSel> sels;
       for (const Field f : all) {
         if (f != Field::kSrcIp && rng.Bernoulli(0.5)) continue;
-        const uint8_t bits =
-            f == Field::kSrcIp   ? prefix
-            : f == Field::kDstIp ? static_cast<uint8_t>(rng.NextBelow(33))
-                                 : static_cast<uint8_t>(keys::FieldBits(f));
+        uint8_t bits = static_cast<uint8_t>(keys::FieldBits(f));
+        if (f == Field::kSrcIp) {
+          bits = prefix;
+        } else if (f == Field::kDstIp && rng.Bernoulli(0.5)) {
+          bits = static_cast<uint8_t>(rng.NextBelow(33));
+        }
         sels.push_back(FieldSel(f, bits));
       }
+      ExpectPacksBitByBit(sels, rng);
       for (size_t i = sels.size(); i > 1; --i) {
         std::swap(sels[i - 1], sels[rng.NextBelow(i)]);
       }
-      const TupleKeySpec spec("random", sels);
-      FiveTuple prev;
-      for (int k = 0; k < 50; ++k) {
-        const FiveTuple t(static_cast<uint32_t>(rng.Next()),
-                          static_cast<uint32_t>(rng.Next()),
-                          static_cast<uint16_t>(rng.Next()),
-                          static_cast<uint16_t>(rng.Next()),
-                          static_cast<uint8_t>(rng.Next()));
-        const DynKey want = PackBitByBit(t, sels);
-        ASSERT_EQ(spec.Apply(t), want)
-            << spec.Apply(t).ToHex() << " vs " << want.ToHex() << " prefix "
-            << static_cast<int>(prefix);
-        EXPECT_EQ(spec.Pack(t) < spec.Pack(prev),
-                  query::KeyOrderLess(want, spec.Apply(prev)));
-        prev = t;
-      }
+      ExpectPacksBitByBit(sels, rng);
     }
   }
+  std::vector<FieldSel> five = TupleKeySpec::FullTuple().fields();
+  ExpectPacksBitByBit(five, rng);
+  std::reverse(five.begin(), five.end());
+  ExpectPacksBitByBit(five, rng);
+  five.push_back(FieldSel(Field::kProto));
+  ExpectPacksBitByBit(five, rng);
 }
 
 // --- Property: the subset-sum identity of Definition 1 -------------------

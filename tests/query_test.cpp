@@ -2,6 +2,7 @@
 // including the worked example of Fig. 7.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -48,24 +49,57 @@ TEST(FlowTable, FindAndCountOnAbsentKeys) {
   EXPECT_EQ(table.count(IPv4Key(1)), 0u);
 }
 
-TEST(FlowTable, EveryKeyFoundAsTheIndexGrows) {
-  // Inserted with no reserve and after a small one, 100k keys make the
-  // index rebuild many times; each must keep its own value.
+// 100k keys, inserted with no reserve and after a small one, make the index
+// rebuild many times. Every other key goes in through AddKeyBytes (the
+// decoders' path, hashing the bytes in place) and the rest through
+// operator[]; find must see each with its own value, and adding each key
+// again through the other path must find its row.
+template <typename Key, typename MakeKey>
+void ExpectEveryKeyFound(MakeKey key) {
   constexpr uint32_t kKeys = 100'000;
-  const auto key = [](uint32_t i) {
-    return FiveTuple(i * 2654435761u, ~i, static_cast<uint16_t>(i), 443, 6);
-  };
   for (const size_t reserved : {size_t{0}, size_t{100}}) {
-    FlowTable<FiveTuple> table;
+    SCOPED_TRACE("reserved " + std::to_string(reserved));
+    FlowTable<Key> table;
     table.reserve(reserved);
-    for (uint32_t i = 0; i < kKeys; ++i) table[key(i)] = i + 1;
+    for (uint32_t i = 0; i < kKeys; ++i) {
+      const Key k = key(i);
+      if (i % 2 == 0) {
+        table.AddKeyBytes(k.data(), i + 1);
+      } else {
+        table[k] = i + 1;
+      }
+    }
     EXPECT_EQ(table.size(), kKeys);
     for (uint32_t i = 0; i < kKeys; ++i) {
       const auto it = table.find(key(i));
       ASSERT_TRUE(it != table.end()) << i;
       EXPECT_EQ(it->second, i + 1);
     }
+    for (uint32_t i = 0; i < kKeys; ++i) {
+      const Key k = key(i);
+      if (i % 2 == 0) {
+        table[k] += 1;
+      } else {
+        table.AddKeyBytes(k.data(), 1);
+      }
+    }
+    EXPECT_EQ(table.size(), kKeys);
+    for (uint32_t i = 0; i < kKeys; ++i) {
+      ASSERT_EQ(table.at(key(i)), i + 2) << i;
+    }
   }
+}
+
+TEST(FlowTable, EveryKeyFoundAsTheIndexGrows) {
+  // The three fixed-key widths the index hashes: two overlapping words
+  // (13 bytes), one whole word (8) and a short word taken twice (4).
+  ExpectEveryKeyFound<FiveTuple>([](uint32_t i) {
+    return FiveTuple(i * 2654435761u, ~i, static_cast<uint16_t>(i), 443, 6);
+  });
+  ExpectEveryKeyFound<IpPairKey>(
+      [](uint32_t i) { return IpPairKey(i * 2654435761u, ~i); });
+  ExpectEveryKeyFound<IPv4Key>(
+      [](uint32_t i) { return IPv4Key(i * 2654435761u); });
 }
 
 TEST(FlowTable, IteratesInFirstInsertionOrder) {
